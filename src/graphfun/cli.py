@@ -167,6 +167,9 @@ def _cmd_sd(args) -> tuple[dict, str, int]:
     if args.mode == "pair":
         if args.x is None or args.y is None:
             raise CliError("sd pair requires --x and --y", EXIT_USAGE)
+        for v in (args.x, args.y):
+            if not 0 <= v < g.n:
+                raise CliError(f"vertex {v} out of range", EXIT_USAGE)
         payload = {"value": sd_pair(g, args.x, args.y), "pair": [args.x, args.y]}
     elif args.mode == "min":
         res = min_sd(g)

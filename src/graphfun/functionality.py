@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, induced_subgraph, mask_of, _bits
+from .graph import Graph, hereditary_max_min, induced_subgraph, mask_of, profiles, _bits
 
 
 @dataclass(frozen=True)
@@ -42,23 +42,14 @@ class WitnessFunction:
         # don't-care profiles read as 0 under totalization
         return self.table.get(profile, 0)
 
-    def profile_of(self, g: Graph, z: int) -> int:
-        p = 0
-        for i, x in enumerate(self.support):
-            if g.rows[x] >> z & 1:
-                p |= 1 << i
-        return p
-
     def verify(self, g: Graph) -> bool:
         """Replay the table against the graph it was built on."""
-        excluded = mask_of(self.support) | (1 << self.target)
-        for z in range(g.n):
-            if excluded >> z & 1:
-                continue
-            got = self.table.get(self.profile_of(g, z))
-            if got != (g.rows[self.target] >> z & 1):
-                return False
-        return True
+        trow = g.rows[self.target]
+        skip = mask_of(self.support) | (1 << self.target)
+        return all(
+            self.table.get(p) == (trow >> z & 1)
+            for z, p in profiles(g, self.support, skip).items()
+        )
 
 
 @dataclass(frozen=True)
@@ -79,35 +70,28 @@ def is_function_of(g: Graph, y: int, support: Iterable[int]) -> Optional[Witness
     supp = tuple(sorted(set(support)))
     if y in supp:
         raise ValueError("target vertex may not belong to its own support")
-    excluded = mask_of(supp) | (1 << y)
     table: dict[int, int] = {}
     yrow = g.rows[y]
-    for z in range(g.n):
-        if excluded >> z & 1:
-            continue
-        p = 0
-        for i, x in enumerate(supp):
-            if g.rows[x] >> z & 1:
-                p |= 1 << i
+    for z, p in profiles(g, supp, mask_of(supp) | (1 << y)).items():
         val = yrow >> z & 1
-        prev = table.setdefault(p, val)
-        if prev != val:
+        if table.setdefault(p, val) != val:
             return None
     return WitnessFunction(y, supp, table)
 
 
-def _resolver_masks(g: Graph, y: int) -> list[int]:
-    """One bitmask per conflict pair: the vertices whose presence in S
-    resolves it (the pair itself plus every distinguishing vertex, y excluded)."""
-    ybit = 1 << y
-    neigh = [z for z in range(g.n) if z != y and g.rows[y] >> z & 1]
-    nonneigh = [z for z in range(g.n) if z != y and not g.rows[y] >> z & 1]
+def _resolver_masks(g: Graph, y: int, among: Optional[int] = None) -> list[int]:
+    """One bitmask per conflict pair of y in G[among] (all of G by default):
+    the vertices whose presence in S resolves it (the pair itself plus every
+    distinguishing vertex of ``among``, y excluded)."""
+    others = ((1 << g.n) - 1 if among is None else among) & ~(1 << y)
+    yrow = g.rows[y]
+    nonneigh = list(_bits(others & ~yrow))
     masks = []
-    for z in neigh:
+    for z in _bits(others & yrow):
         rz = g.rows[z]
         bz = 1 << z
         for w in nonneigh:
-            masks.append(((rz ^ g.rows[w]) | bz | (1 << w)) & ~ybit)
+            masks.append(((rz ^ g.rows[w]) | bz | (1 << w)) & others)
     return masks
 
 
@@ -167,34 +151,44 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
     return best_mask
 
 
-def _trivial_feasible(g: Graph, y: int) -> int:
-    """N(y) or the non-neighbourhood, whichever is smaller, as a mask.
-    Both are always feasible supports (constant function outside)."""
-    neigh = g.rows[y]
-    non = ~(neigh | (1 << y)) & ((1 << g.n) - 1)
+def _trivial_feasible(g: Graph, y: int, among: Optional[int] = None) -> int:
+    """N(y) or the non-neighbourhood within G[among], whichever is smaller,
+    as a mask.  Both are always feasible supports (constant function
+    outside)."""
+    others = ((1 << g.n) - 1 if among is None else among) & ~(1 << y)
+    neigh = g.rows[y] & others
+    non = others & ~neigh
     return neigh if neigh.bit_count() <= non.bit_count() else non
 
 
-def _fun_search(g: Graph, y: int, cap: Optional[int] = None) -> Optional[frozenset[int]]:
-    """Minimum support for y of size < cap (cap=None means unbounded)."""
+def _fun_search(
+    g: Graph, y: int, cap: Optional[int] = None, among: Optional[int] = None
+) -> Optional[frozenset[int]]:
+    """Minimum support for y in G[among] (all of G by default) of size < cap
+    (cap=None means unbounded)."""
     limit = cap if cap is not None else g.n
-    masks = _resolver_masks(g, y)
+    masks = _resolver_masks(g, y, among)
     if not masks:
         return frozenset() if limit > 0 else None
-    init = _trivial_feasible(g, y)
+    init = _trivial_feasible(g, y, among)
     best = _min_hitting_set(masks, limit, init)
     if best is None:
         return None
     return frozenset(_bits(best))
 
 
+def _certified(g: Graph, y: int, support: Optional[frozenset[int]]) -> FunResult:
+    """FunResult for a support a search returned, with its replayed witness
+    function; a missing or failing support is an internal error."""
+    fn = None if support is None else is_function_of(g, y, support)
+    if fn is None:
+        raise RuntimeError(f"search returned no valid support for vertex {y}")
+    return FunResult(len(support), y, support, fn)
+
+
 def fun_vertex(g: Graph, y: int) -> FunResult:
     """Exact fun(y) with an attaining support and verified witness."""
-    best = _fun_search(g, y)
-    assert best is not None
-    fn = is_function_of(g, y, best)
-    assert fn is not None
-    return FunResult(len(best), y, best, fn)
+    return _certified(g, y, _fun_search(g, y))
 
 
 def fun_vertex_upper(g: Graph, y: int) -> FunResult:
@@ -214,51 +208,42 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
         # max() keeps the first maximum, so sorting the keys makes the
         # tie-break "lowest index"
         chosen |= 1 << pick
-    supp = frozenset(_bits(chosen))
-    fn = is_function_of(g, y, supp)
-    assert fn is not None
-    return FunResult(len(supp), y, supp, fn)
+    return _certified(g, y, frozenset(_bits(chosen)))
+
+
+def _min_fun_over(g: Graph, among: int, floor: int) -> Optional[tuple[int, frozenset[int]]]:
+    """(y, support) minimising fun over the vertices of G[among], lowest y
+    on ties, or None as soon as some vertex has fun <= ``floor``."""
+    best = None
+    cap: Optional[int] = None
+    for y in _bits(among):
+        found = _fun_search(g, y, cap, among)
+        if found is not None:
+            best, cap = (y, found), len(found)
+            if cap <= floor:
+                return None
+            if cap == 0:
+                break
+    return best
 
 
 def min_fun(g: Graph) -> FunResult:
     """Minimum of fun over all vertices, arg-min vertex lowest index on ties."""
     if g.n == 0:
         raise ValueError("min_fun of the empty graph is undefined")
-    best_y = -1
-    best_set: Optional[frozenset[int]] = None
-    cap: Optional[int] = None
-    for y in range(g.n):
-        found = _fun_search(g, y, cap)
-        if found is not None:
-            best_y, best_set = y, found
-            cap = len(found)
-            if cap == 0:
-                break
-    assert best_set is not None
-    fn = is_function_of(g, best_y, best_set)
-    assert fn is not None
-    return FunResult(len(best_set), best_y, best_set, fn)
-
-
-def _min_fun_value_over(g: Graph, cap: int) -> Optional[int]:
-    """min_fun(g) if it exceeds ``cap``, else None (early abort).  Used by
-    the subgraph sweep, where only strict improvements matter."""
-    current: Optional[int] = None
-    for y in range(g.n):
-        found = _fun_search(g, y, current)
-        if found is not None:
-            current = len(found)
-            if current <= cap:
-                return None
-    return current
+    found = _min_fun_over(g, (1 << g.n) - 1, -1)
+    if found is None:
+        raise RuntimeError("no vertex has a support")
+    return _certified(g, *found)
 
 
 def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     """Exact fun(G): maximum over all nonempty induced subgraphs of min_fun.
 
     Rejects graphs above ``exact_limit``; use fun_graph_lower for those.
-    Subsets are swept in decreasing size; a subset is skipped when its
-    trivial bound floor((|H|-1)/2) cannot beat the best value found.
+    graph.hereditary_max_min scores each subset H as a vertex mask of G and
+    stops at the first size whose bound floor((|H|-1)/2) cannot beat the
+    best value; only the winning subgraph is built, to report its witness.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
@@ -267,20 +252,12 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
             f"n={g.n} exceeds exact_limit={exact_limit}; use fun_graph_lower "
             "for a certified lower bound"
         )
-    best_value = -1
-    best_subset: Optional[tuple[int, ...]] = None
-    import itertools
 
-    for size in range(g.n, 0, -1):
-        if (size - 1) // 2 <= best_value:
-            break
-        for subset in itertools.combinations(range(g.n), size):
-            sub, _ = induced_subgraph(g, subset)
-            val = _min_fun_value_over(sub, best_value)
-            if val is not None:
-                best_value = val
-                best_subset = subset
-    assert best_subset is not None
+    def score(among: int, floor: int) -> Optional[int]:
+        found = _min_fun_over(g, among, floor)
+        return None if found is None else len(found[1])
+
+    best_value, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score)
     sub, mapping = induced_subgraph(g, best_subset)
     inner = min_fun(sub)
     fn = WitnessFunction(
@@ -305,11 +282,10 @@ def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
     rng = random.Random(seed)
     best = min_fun(g).value
     for _ in range(trials):
-        subset = [v for v in range(g.n) if rng.random() < 0.5]
+        subset = mask_of(v for v in range(g.n) if rng.random() < 0.5)
         if not subset:
             continue
-        sub, _ = induced_subgraph(g, subset)
-        val = _min_fun_value_over(sub, best)
-        if val is not None:
-            best = val
+        found = _min_fun_over(g, subset, best)
+        if found is not None:
+            best = len(found[1])
     return best

@@ -6,8 +6,9 @@ intersection) is row-XOR/AND on ints.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,48 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
                 row |= 1 << index[u]
         rows.append(row)
     return Graph(len(order), tuple(rows)), tuple(order)
+
+
+def profiles(g: Graph, support: tuple[int, ...], skip: int) -> dict[int, int]:
+    """Adjacency profile over ``support`` of every vertex outside the mask
+    ``skip``, keyed by vertex in ascending order: bit i of z's profile is
+    set iff z ~ support[i]."""
+    out = {z: 0 for z in range(g.n) if not skip >> z & 1}
+    for i, x in enumerate(support):
+        for z in _bits(g.rows[x] & ~skip):
+            out[z] |= 1 << i
+    return out
+
+
+def hereditary_max_min(
+    g: Graph,
+    min_size: int,
+    bound: Callable[[int], int],
+    score: Callable[[int, int], Optional[int]],
+) -> tuple[int, tuple[int, ...]]:
+    """Maximum of a min-type parameter over the induced subgraphs of ``g``
+    with at least ``min_size`` vertices, and the first subset attaining it.
+
+    ``score(mask, floor)`` gets each subset H as a vertex mask of ``g``, so
+    no subgraph is built, and returns the parameter of G[H], or None when it
+    is at most ``floor``.  Subsets go by decreasing size, then in
+    ``itertools.combinations`` order; only a strict improvement replaces the
+    best.  The sweep stops at the first size whose ``bound(size)``, a cap on
+    the parameter that never grows as size falls, cannot beat the best.
+    """
+    best_value = -1
+    best_mask = None
+    bits = [1 << v for v in range(g.n)]
+    for size in range(g.n, min_size - 1, -1):
+        if bound(size) <= best_value:
+            break
+        for mask in map(sum, itertools.combinations(bits, size)):
+            value = score(mask, best_value)
+            if value is not None:
+                best_value, best_mask = value, mask
+    if best_mask is None:
+        raise RuntimeError("subset sweep found no subgraph")
+    return best_value, tuple(_bits(best_mask))
 
 
 def sym_diff_mask(g: Graph, u: int, v: int) -> int:

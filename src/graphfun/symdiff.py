@@ -5,7 +5,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, induced_subgraph, sym_diff_mask
+from .graph import Graph, hereditary_max_min, induced_subgraph, sym_diff_mask, _bits
 
 
 @dataclass(frozen=True)
@@ -36,35 +36,30 @@ def min_sd(g: Graph) -> SdResult:
     return SdResult(best, best_pair)
 
 
-def _min_sd_value_over(g: Graph, cap: int) -> Optional[int]:
-    """min_sd value if it exceeds cap, else None (early abort)."""
-    best = None
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            v = sd_pair(g, x, y)
-            if v <= cap:
-                return None
-            if best is None or v < best:
-                best = v
-    return best
-
-
 def sd_graph(g: Graph, exact_limit: int = 14) -> SdResult:
-    """Exact sd(G): max over induced subgraphs with >= 2 vertices of min_sd."""
+    """Exact sd(G): max over induced subgraphs with >= 2 vertices of min_sd.
+
+    graph.hereditary_max_min scores each subset H as a vertex mask of G and
+    stops at the first size whose bound |H|-2 (sd(x,y) excludes x and y)
+    cannot beat the best value; only the winning subgraph is built, to
+    report its pair.
+    """
     if g.n < 2:
         raise ValueError("sd_graph needs at least 2 vertices")
     if g.n > exact_limit:
         raise ValueError(f"n={g.n} exceeds exact_limit={exact_limit}")
-    best_value = -1
-    best_subset = None
-    for size in range(g.n, 1, -1):
-        for subset in itertools.combinations(range(g.n), size):
-            sub, _ = induced_subgraph(g, subset)
-            val = _min_sd_value_over(sub, best_value)
-            if val is not None:
-                best_value = val
-                best_subset = subset
-    assert best_subset is not None
+
+    def score(among: int, floor: int) -> Optional[int]:
+        best = g.n
+        # A list, not a generator: a tuple built from a generator is resized,
+        # which strands one tuple per call in CPython's free lists (~1 MB).
+        for x, y in itertools.combinations(list(_bits(among)), 2):
+            best = min(best, (sym_diff_mask(g, x, y) & among).bit_count())
+            if best <= floor:
+                return None
+        return best
+
+    best_value, best_subset = hereditary_max_min(g, 2, lambda size: size - 2, score)
     sub, mapping = induced_subgraph(g, best_subset)
     inner = min_sd(sub)
     pair = (mapping[inner.pair[0]], mapping[inner.pair[1]])

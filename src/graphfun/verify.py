@@ -43,7 +43,7 @@ def _min_fun_at_most(g: Graph, k: int) -> bool:
     return any(_fun_search(g, y, k + 1) is not None for y in range(g.n))
 
 
-def verify_oracle_equivalence(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
+def verify_oracle_equivalence(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
     failures = []
     for i, g in _cycle_graphs(seed, cases):
         for y in range(g.n):
@@ -70,7 +70,7 @@ def _dense_intervals(n: int, seed: int) -> IntervalSet:
     return IntervalSet(tuple(lefts))
 
 
-def verify_unit_interval(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
+def verify_unit_interval(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     for i in range(cases):
@@ -93,7 +93,7 @@ def verify_unit_interval(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
     }
 
 
-def verify_permutation(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
+def verify_permutation(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     checked_exact = 0
@@ -117,7 +117,7 @@ def verify_permutation(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
     }
 
 
-def verify_line_graph(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
+def verify_line_graph(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     edges_checked = 0
@@ -135,7 +135,7 @@ def verify_line_graph(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
     }
 
 
-def verify_cwd_bound(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
+def verify_cwd_bound(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
     failures = []
     # anchor: the 4-label expression evaluates to exactly C5
     lg = kexpr.evaluate(kexpr.parse(kexpr.C5_EXPRESSION_TEXT))
@@ -182,7 +182,7 @@ def verify_hypercube(**_ignored) -> tuple[bool, dict]:
     return passed, results
 
 
-def verify_degeneracy_bound(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
+def verify_degeneracy_bound(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
     failures = []
     for i, g in _cycle_graphs(seed, cases):
         fg = fun_graph(g).value
@@ -192,7 +192,7 @@ def verify_degeneracy_bound(seed: int = 0, cases: int = 200) -> tuple[bool, dict
     return not failures, {"cases": cases, "failures": failures}
 
 
-def verify_sd_link(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
+def verify_sd_link(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
     """Structural inequalities tying functionality to degrees, symmetric
     differences, induced subgraphs and twins."""
     failures = []
@@ -217,7 +217,7 @@ def verify_sd_link(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
     return not failures, {"cases": cases, "failures": failures}
 
 
-def verify_vcdim(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
+def verify_vcdim(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict]:
     failures = []
     for n in (1, 2, 3):
         value = vc_dimension(families.shattering_graph(n)).value
@@ -238,7 +238,7 @@ def _no_thick_instance(seed: int) -> Hypergraph3:
             return h
 
 
-def verify_hyper3(seed: int = 0, cases: int = 20) -> tuple[bool, dict]:
+def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     max_f = 0
@@ -285,20 +285,7 @@ TARGETS = {
 
 
 def run_target(name: str, seed: int = 0, cases: int | None = None, t: int = 3):
-    if name not in TARGETS:
-        raise KeyError(name)
-    fn = TARGETS[name]
     kwargs = {"seed": seed, "t": t}
     if cases is not None:
         kwargs["cases"] = cases
-    import inspect
-
-    params = inspect.signature(fn).parameters
-    has_var = any(p.kind == p.VAR_KEYWORD for p in params.values())
-    if not has_var:
-        kwargs = {k: v for k, v in kwargs.items() if k in params}
-    else:
-        kwargs = {
-            k: v for k, v in kwargs.items() if k in params or k in ("seed", "cases", "t")
-        }
-    return fn(**kwargs)
+    return TARGETS[name](**kwargs)

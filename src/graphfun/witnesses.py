@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, mask_of
+from .graph import Graph, mask_of, profiles
 from .families import IntervalSet, Permutation, line_graph, permutation_graph, unit_interval_graph
 from .symdiff import sd_pair
 
@@ -36,18 +36,12 @@ class DnfWitness:
         return 0
 
     def verify(self, g: Graph) -> bool:
-        excluded = mask_of(self.support) | (1 << self.target)
         trow = g.rows[self.target]
-        for z in range(g.n):
-            if excluded >> z & 1:
-                continue
-            profile = 0
-            for i, x in enumerate(self.support):
-                if g.rows[x] >> z & 1:
-                    profile |= 1 << i
-            if self.evaluate(profile) != (trow >> z & 1):
-                return False
-        return True
+        skip = mask_of(self.support) | (1 << self.target)
+        return all(
+            self.evaluate(p) == (trow >> z & 1)
+            for z, p in profiles(g, self.support, skip).items()
+        )
 
 
 # --- unit interval graphs ---------------------------------------------------

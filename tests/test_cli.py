@@ -112,6 +112,10 @@ def test_verify_subcommand(capsys):
 def test_usage_errors(graph_file, capsys):
     assert main(["fun", "vertex", graph_file]) == 2  # missing --vertex
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+    for x, y in (("0", "9"), ("-1", "2"), ("3", "8")):  # graph_file has 8 vertices
+        assert main(["sd", "pair", graph_file, "--x", x, "--y", y]) == 2
+        assert "out of range" in capsys.readouterr().err
 
 
 def test_parse_errors(tmp_path, capsys):

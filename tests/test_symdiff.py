@@ -1,11 +1,19 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfun.families import random_graph
-from graphfun.functionality import fun_graph
-from graphfun.graph import Graph
-from graphfun.naive import naive_min_sd, naive_sd_graph, naive_sd_pair
+from graphfun.functionality import fun_graph, is_function_of
+from graphfun.graph import Graph, induced_subgraph
+from graphfun.naive import (
+    naive_fun_vertex,
+    naive_min_fun,
+    naive_min_sd,
+    naive_sd_graph,
+    naive_sd_pair,
+)
 from graphfun.symdiff import min_sd, sd_graph, sd_pair
 
 
@@ -62,3 +70,36 @@ def test_sd_graph_matches_naive_and_bounds_fun(g):
     sg = sd_graph(g).value
     assert sg == naive_sd_graph(g)
     assert fun_graph(g).value <= sg + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(
+    random_graph,
+    n=st.integers(min_value=2, max_value=6),
+    p=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+))
+def test_sweeps_report_first_attaining_subset(g):
+    """Both sweeps report the first subset, by decreasing size then
+    lexicographic order, whose naive min equals the reported value, and a
+    witness that attains it inside that subgraph."""
+    subsets = [s for size in range(g.n, 0, -1)
+               for s in itertools.combinations(range(g.n), size)]
+
+    def first(naive_min, min_size, value):
+        return next(s for s in subsets if len(s) >= min_size
+                    and naive_min(induced_subgraph(g, s)[0]) == value)
+
+    fg = fun_graph(g)
+    assert fg.subgraph == frozenset(first(naive_min_fun, 1, fg.value))
+    sub, mapping = induced_subgraph(g, fg.subgraph)
+    back = {v: i for i, v in enumerate(mapping)}
+    y = back[fg.witness_vertex]
+    assert naive_fun_vertex(sub, y) == len(fg.witness_set) == fg.value
+    assert is_function_of(sub, y, {back[v] for v in fg.witness_set}) is not None
+
+    sg = sd_graph(g)
+    assert sg.subgraph == frozenset(first(naive_min_sd, 2, sg.value))
+    sub, mapping = induced_subgraph(g, sg.subgraph)
+    back = {v: i for i, v in enumerate(mapping)}
+    assert naive_sd_pair(sub, back[sg.pair[0]], back[sg.pair[1]]) == sg.value
