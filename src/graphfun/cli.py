@@ -11,6 +11,7 @@ is recorded in every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -249,7 +250,13 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
         g = parse_graph(text)
         if args.edge is None:
             raise CliError("witness line-graph requires --edge U V", EXIT_USAGE)
-        w = witnesses.line_graph_witness(g, tuple(args.edge))
+        u, v = args.edge
+        for x in (u, v):
+            if not 0 <= x < g.n:
+                raise CliError(f"vertex {x} out of range", EXIT_USAGE)
+        if not g.has_edge(u, v):
+            raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
+        w = witnesses.line_graph_witness(g, (u, v))
         payload = _witness_payload(w)
         payload["terms"] = [list(t) for t in w.terms]
         if args.recheck:
@@ -314,7 +321,10 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
 # --- argument parsing -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse state lives in the returned Namespace, so one parser serves
+    # every call of main()
     ap = argparse.ArgumentParser(
         prog="graphfun",
         description="Graph functionality, symmetric differences, "

@@ -95,25 +95,18 @@ def _resolver_masks(g: Graph, y: int, among: Optional[int] = None) -> list[int]:
     return masks
 
 
-def _greedy_lower_bound(masks: list[int], chosen: int) -> int:
-    """Count of pairwise-disjoint unresolved resolver sets (a valid lower
-    bound on how many more vertices are needed)."""
-    used = 0
-    count = 0
-    for m in masks:
-        if m & chosen or m & used:
-            continue
-        used |= m
-        count += 1
-    return count
-
-
 def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optional[int]:
     """Smallest mask hitting every resolver mask, of size < cap, else None.
 
     ``init`` is a known-feasible mask used to seed the bound.  Branching is
-    fail-first: pick the unresolved mask with fewest candidates, branch on
-    each candidate in increasing index order.
+    fail-first: with the masks stably sorted by popcount, each node branches
+    on the candidates of its first unresolved mask, in increasing index
+    order, and passes each child only the masks the child leaves unresolved.
+    After the child for b returns, later siblings ban b.  A node is cut when
+    some unresolved mask has no unbanned candidate, or when a greedy packing
+    of disjoint unbanned candidate sets reaches the best size.  Only subtrees
+    that cannot strictly improve are cut, so the support returned is the
+    first minimum in branching order.
     """
     best_size = cap
     best_mask: Optional[int] = None
@@ -121,31 +114,31 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
         best_size = init.bit_count()
         best_mask = init
 
-    masks = sorted(masks, key=lambda m: m.bit_count())
-
-    def rec(chosen: int, count: int) -> None:
+    def rec(chosen: int, count: int, unresolved: list[int], banned: int) -> None:
         nonlocal best_size, best_mask
-        pick = -1
-        pick_pop = None
-        for m in masks:
-            if m & chosen:
-                continue
-            pop = m.bit_count()
-            if pick_pop is None or pop < pick_pop:
-                pick, pick_pop = m, pop
-                if pop <= 2:
-                    break
-        if pick == -1:
+        if not unresolved:
             if count < best_size:
                 best_size = count
                 best_mask = chosen
             return
-        if count + _greedy_lower_bound(masks, chosen) >= best_size:
-            return
-        for b in _bits(pick):
-            rec(chosen | (1 << b), count + 1)
+        allowed = ~banned
+        used = 0
+        need = count
+        for m in unresolved:
+            free = m & allowed
+            if not free:
+                return
+            if not free & used:
+                used |= free
+                need += 1
+                if need >= best_size:
+                    return
+        for b in _bits(unresolved[0] & allowed):
+            bit = 1 << b
+            rec(chosen | bit, count + 1, [m for m in unresolved if not m & bit], banned)
+            banned |= bit
 
-    rec(0, 0)
+    rec(0, 0, sorted(masks, key=int.bit_count), 0)
     if best_mask is None or best_size >= cap:
         return None
     return best_mask

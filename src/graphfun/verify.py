@@ -230,12 +230,20 @@ def verify_vcdim(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict
     return not failures, {"cases": cases, "failures": failures}
 
 
+NO_THICK_DRAWS = 1000
+
+
 def _no_thick_instance(seed: int) -> Hypergraph3:
+    """First of at most NO_THICK_DRAWS seeded (60, 80) hypergraphs with no
+    thick pair."""
     rng = random.Random(seed)
-    while True:
+    for _ in range(NO_THICK_DRAWS):
         h = families.random_3_hypergraph(60, 80, rng.randrange(2**32))
         if not hyper3.thick_pairs(h):
             return h
+    raise RuntimeError(
+        f"no thick-pair-free hypergraph in {NO_THICK_DRAWS} draws from seed {seed}"
+    )
 
 
 def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dict]:
@@ -287,5 +295,8 @@ TARGETS = {
 def run_target(name: str, seed: int = 0, cases: int | None = None, t: int = 3):
     kwargs = {"seed": seed, "t": t}
     if cases is not None:
+        if cases < 1:
+            # zero cases would pass vacuously
+            raise ValueError(f"cases must be >= 1, got {cases}")
         kwargs["cases"] = cases
     return TARGETS[name](**kwargs)

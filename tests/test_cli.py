@@ -109,13 +109,26 @@ def test_verify_subcommand(capsys):
     assert code == 0 and report["result"]["passed"]
 
 
-def test_usage_errors(graph_file, capsys):
+def test_usage_errors(graph_file, tmp_path, capsys):
     assert main(["fun", "vertex", graph_file]) == 2  # missing --vertex
     assert main(["nonsense"]) == 2
     capsys.readouterr()
     for x, y in (("0", "9"), ("-1", "2"), ("3", "8")):  # graph_file has 8 vertices
         assert main(["sd", "pair", graph_file, "--x", x, "--y", y]) == 2
         assert "out of range" in capsys.readouterr().err
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    for u, v, message in (("7", "8", "out of range"), ("-1", "3", "out of range"),
+                          ("0", "3", "not an edge"), ("2", "2", "not an edge")):
+        assert main(["witness", "line-graph", str(p4), "--edge", u, v]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_verify_rejects_nonpositive_cases(capsys):
+    for cases in ("0", "-1"):
+        assert main(["verify", "oracle-equivalence", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cases must be >= 1" in captured.err
 
 
 def test_parse_errors(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from graphfun.families import random_graph
 from graphfun.functionality import (
+    _min_hitting_set,
     fun_graph,
     fun_graph_lower,
     fun_vertex,
@@ -151,3 +152,59 @@ def test_fun_graph_monotone_under_induced_subgraphs(g, seed):
 def test_fun_graph_matches_naive(g):
     assert fun_graph(g).value == naive_fun_graph(g)
     assert min_fun(g).value == naive_min_fun(g)
+
+
+def _min_hitting_size(masks, universe):
+    """Brute force: size of a smallest subset of ``universe`` hitting every
+    mask (each mask is nonempty and inside the universe)."""
+    return min(s.bit_count() for s in range(universe + 1) if all(m & s for m in masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=255), max_size=12),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=255),
+)
+def test_min_hitting_set_matches_brute_force(masks, cap, guess):
+    k = _min_hitting_size(masks, 255)
+
+    def hits(s):
+        return all(m & s for m in masks)
+
+    got = _min_hitting_set(masks, cap, None)
+    if k < cap:
+        assert got is not None and hits(got) and got.bit_count() == k
+    else:
+        assert got is None
+    # a feasible init seeds the bound: it is returned unless strictly beaten
+    init = guess if hits(guess) else 255
+    got = _min_hitting_set(masks, cap, init)
+    if k < min(cap, init.bit_count()):
+        assert got is not None and hits(got) and got.bit_count() == k
+    elif init.bit_count() < cap:
+        assert got == init
+    else:
+        assert got is None
+
+
+# Pinned supports: a faster search may prune more but must report these.
+# (n, seed) of G(n, 1/2) -> fun_vertex supports of vertices 0, n//2 and
+# n-1, then min_fun's (witness_vertex, witness_set).
+GOLDEN_SUPPORTS = {
+    (20, 1): ([[2, 3, 11, 17], [12, 13, 15], [1, 2, 6, 12]], (1, [4, 5, 19])),
+    (22, 2): ([[3, 6, 8, 10], [0, 2, 12], [0, 1, 16, 17]], (2, [6, 18, 21])),
+    (24, 3): ([[2, 5, 8, 16], [2, 3, 4], [1, 3, 10, 11]], (12, [2, 3, 4])),
+    (26, 4): ([[3, 9, 15, 25], [2, 3, 20, 22], [5, 8, 17, 20]], (0, [3, 9, 15, 25])),
+    (28, 5): ([[1, 11, 17, 19], [2, 3, 6, 19], [3, 7, 16, 21]], (0, [1, 11, 17, 19])),
+    (30, 6): ([[4, 5, 7, 25], [2, 7, 13, 24], [2, 4, 5, 6, 9]], (0, [4, 5, 7, 25])),
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_SUPPORTS))
+def test_supports_are_reproduced(n, seed):
+    g = random_graph(n, 0.5, seed)
+    vertex_supports, (wv, ws) = GOLDEN_SUPPORTS[(n, seed)]
+    assert [sorted(fun_vertex(g, y).witness_set) for y in (0, n // 2, n - 1)] == vertex_supports
+    res = min_fun(g)
+    assert (res.witness_vertex, sorted(res.witness_set)) == (wv, ws)

@@ -157,3 +157,12 @@ def test_hyper3_fun_bound_dispatch():
     assert r2.thick_case and r2.bound <= 8
     with pytest.raises(ValueError):
         hyper3_fun_bound(Hypergraph3(5, ()))
+
+
+def test_no_thick_instance_is_bounded(monkeypatch):
+    from graphfun import verify
+
+    assert not thick_pairs(verify._no_thick_instance(0))
+    monkeypatch.setattr(verify, "NO_THICK_DRAWS", 0)
+    with pytest.raises(RuntimeError):
+        verify._no_thick_instance(0)
