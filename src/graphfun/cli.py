@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One JSON report object goes to standard output; a short human summary goes
-to standard error.  Exit codes: 0 success/verified, 1 property violated,
+to standard error.  Exit codes: 0 success/verified, 1 property violated
+(including an internal check that failed, such as a witness that does not
+replay: its message goes to standard error and no report is written),
 2 usage/configuration error, 3 input parse error.
 
 All randomness flows through ``random.Random`` (the Mersenne Twister from
@@ -419,6 +421,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        # an internal invariant failed, e.g. a witness did not replay
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     elapsed = int((time.perf_counter() - start) * 1000)
     report = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),

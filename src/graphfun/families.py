@@ -279,7 +279,10 @@ def parse_intervals(text: str) -> IntervalSet:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        lefts.append(Fraction(ln))
+        try:
+            lefts.append(Fraction(ln))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {ln!r}") from exc
     return IntervalSet(tuple(lefts))
 
 

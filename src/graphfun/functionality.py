@@ -206,7 +206,21 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
 
 def _min_fun_over(g: Graph, among: int, floor: int) -> Optional[tuple[int, frozenset[int]]]:
     """(y, support) minimising fun over the vertices of G[among], lowest y
-    on ties, or None as soon as some vertex has fun <= ``floor``."""
+    on ties, or None as soon as some vertex has fun <= ``floor``.
+
+    N(y) and its complement in G[among] are always supports, so a vertex
+    whose degree or co-degree there is at most ``floor`` rejects the subset
+    before any search: fun_H(y) <= min(deg_H(y), |H|-1-deg_H(y)).
+    """
+    rows = g.rows
+    last = among.bit_count() - 1
+    rest = among
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (rows[low.bit_length() - 1] & among).bit_count()
+        if d <= floor or last - d <= floor:
+            return None
     best = None
     cap: Optional[int] = None
     for y in _bits(among):

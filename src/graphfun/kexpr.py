@@ -162,7 +162,10 @@ class _Parser:
 
 def parse(text: str) -> KExpression:
     p = _Parser(text)
-    tree = p.expr()
+    try:
+        tree = p.expr()
+    except RecursionError:
+        p.error("expression nested too deeply")
     if p.pos != len(p.tokens):
         p.error(f"trailing input {p.peek()!r}")
     return tree

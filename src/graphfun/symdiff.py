@@ -1,11 +1,10 @@
 """The symmetric-difference parameter sd(x,y) and its max-min graph form."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, hereditary_max_min, induced_subgraph, sym_diff_mask, _bits
+from .graph import Graph, hereditary_max_min, induced_subgraph, sym_diff_mask
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,28 @@ def sd_graph(g: Graph, exact_limit: int = 14) -> SdResult:
     if g.n > exact_limit:
         raise ValueError(f"n={g.n} exceeds exact_limit={exact_limit}")
 
+    rows = g.rows
+
     def score(among: int, floor: int) -> Optional[int]:
+        # Pairs x < y of H in itertools.combinations order, each scored as
+        # |(N(x) xor N(y)) & H - {x, y}|; the first pair at most ``floor``
+        # rejects H, so most subsets cost a pair or two.
         best = g.n
-        # A list, not a generator: a tuple built from a generator is resized,
-        # which strands one tuple per call in CPython's free lists (~1 MB).
-        for x, y in itertools.combinations(list(_bits(among)), 2):
-            best = min(best, (sym_diff_mask(g, x, y) & among).bit_count())
-            if best <= floor:
-                return None
+        rest = among
+        while rest:
+            bx = rest & -rest
+            rest ^= bx
+            rx = rows[bx.bit_length() - 1]
+            outside_x = among ^ bx
+            others = rest
+            while others:
+                by = others & -others
+                others ^= by
+                value = ((rx ^ rows[by.bit_length() - 1]) & (outside_x ^ by)).bit_count()
+                if value < best:
+                    if value <= floor:
+                        return None
+                    best = value
         return best
 
     best_value, best_subset = hereditary_max_min(g, 2, lambda size: size - 2, score)

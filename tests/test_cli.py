@@ -139,3 +139,28 @@ def test_parse_errors(tmp_path, capsys):
     badkx.write_text("eta(1,1,node(1,a))\n")
     assert main(["kexpr", "eval", str(badkx)]) == 3
     assert main(["fun", "min", str(tmp_path / "missing.txt")]) == 3
+
+
+def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from graphfun import witnesses
+
+    def fail(g, edge):
+        raise RuntimeError("line graph witness failed verification")
+
+    monkeypatch.setattr(witnesses, "line_graph_witness", fail)
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+    assert main(["witness", "line-graph", str(p4), "--edge", "0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line graph witness failed verification" in captured.err
+
+
+def test_parse_error_regressions(tmp_path, capsys):
+    iv = tmp_path / "iv.txt"
+    iv.write_text("1/0\n2\n")  # used to raise ZeroDivisionError
+    assert main(["witness", "unit-interval", str(iv)]) == 3
+    deep = tmp_path / "deep.kx"
+    deep.write_text("u(" * 5000)  # used to raise RecursionError
+    assert main(["kexpr", "eval", str(deep)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
