@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .graph import Graph
@@ -32,7 +33,12 @@ class Permutation:
         return len(self.values)
 
     def position_of(self) -> dict[int, int]:
-        """value -> 1-based position."""
+        """value -> 1-based position; built once per permutation, and every
+        call returns the same mapping."""
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.values, start=1)}
 
 
@@ -105,48 +111,51 @@ def hypercube(n: int) -> Graph:
 
 def permutation_graph(p: Permutation) -> Graph:
     """Vertices are the values 1..n stored 0-based; values a, b adjacent
-    iff the pair is an inversion of the permutation."""
-    pos = p.position_of()
-    n = p.n
-    rows = [0] * n
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if pos[a] > pos[b]:
-                rows[a - 1] |= 1 << (b - 1)
-                rows[b - 1] |= 1 << (a - 1)
-    return Graph(n, tuple(rows))
+    iff the pair is an inversion of the permutation.
+
+    One left-to-right sweep: value a is adjacent to the larger values seen
+    to its left and to the smaller values not seen yet, which lie to its
+    right."""
+    rows = [0] * p.n
+    seen = 0
+    for a in p.values:
+        rows[a - 1] = (seen >> a << a) | (((1 << (a - 1)) - 1) & ~seen)
+        seen |= 1 << (a - 1)
+    return Graph(p.n, tuple(rows))
 
 
 def unit_interval_graph(iv: IntervalSet) -> Graph:
     """Intersection graph of the unit intervals, vertices ordered by left
-    endpoint.  Exact rational comparisons throughout."""
-    order = sorted(range(iv.n), key=lambda i: iv.lefts[i])
-    lefts = [iv.lefts[i] for i in order]
+    endpoint.  Exact rational comparisons throughout; the lefts are sorted,
+    so each scan stops at the first interval that starts too far right."""
+    lefts = sorted(iv.lefts)
     rows = [0] * iv.n
     for i in range(iv.n):
         for j in range(i + 1, iv.n):
-            if lefts[j] - lefts[i] < 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+            if lefts[j] - lefts[i] >= 1:
+                break
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(iv.n, tuple(rows))
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """L(G): one vertex per edge of G in lexicographic order; adjacency iff
-    the edges share an endpoint.  The edge list maps vertices back."""
+    the edges share an endpoint.  The edge list maps vertices back.
+
+    ``incident[v]`` is the mask of edge indices at v, so the row of edge
+    ab is every edge at a or b except ab itself."""
     edge_names = tuple(g.edges())
     if not edge_names:
         raise ValueError("line graph of an edgeless graph is undefined")
-    m = len(edge_names)
-    rows = [0] * m
-    for i in range(m):
-        a, b = edge_names[i]
-        for j in range(i + 1, m):
-            c, d = edge_names[j]
-            if a in (c, d) or b in (c, d):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(m, tuple(rows)), edge_names
+    incident = [0] * g.n
+    for i, (a, b) in enumerate(edge_names):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    rows = tuple(
+        (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_names)
+    )
+    return Graph(len(edge_names), rows), edge_names
 
 
 def shattering_graph(n: int) -> Graph:

@@ -19,18 +19,35 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or len(self.rows) != self.n:
+        """Validation in O(n + m) bigint operations.
+
+        Symmetry: ``column[v]`` collects the u < v whose rows have bit v,
+        from the bits above the diagonal of the rows already seen, and must
+        equal the part of row v below the diagonal.  Rows go in order, so
+        the pair named is the first a pairwise scan of the lower triangle
+        would find.
+        """
+        n, rows = self.n, self.rows
+        if n < 0 or len(rows) != n:
             raise ValueError("row count must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        for v, row in enumerate(rows):
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-            if row & ~full:
+            if row >> n:
                 raise ValueError(f"row {v} references vertices >= n")
-        for v in range(self.n):
-            for u in range(v):
-                if (self.rows[v] >> u & 1) != (self.rows[u] >> v & 1):
-                    raise ValueError(f"adjacency not symmetric at ({u},{v})")
+        column = [0] * n
+        for v, row in enumerate(rows):
+            upper = row >> v
+            diff = (row ^ (upper << v)) ^ column[v]
+            if diff:
+                u = (diff & -diff).bit_length() - 1
+                raise ValueError(f"adjacency not symmetric at ({u},{v})")
+            if upper:
+                bit = 1 << v
+                while upper:
+                    low = upper & -upper
+                    column[v + low.bit_length() - 1] |= bit
+                    upper ^= low
 
     @staticmethod
     def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

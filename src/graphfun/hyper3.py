@@ -67,18 +67,19 @@ class Hyper3Report:
 
 def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int], ...]]:
     """One vertex per hyperedge in input order; adjacency iff the
-    hyperedges share a ground-set vertex."""
+    hyperedges share a ground-set vertex.  ``incident[v]`` is the mask of
+    hyperedge indices at v, as in ``families.line_graph``."""
     if not h.edges:
         raise ValueError("intersection graph of an empty hypergraph is undefined")
-    masks = [sum(1 << v for v in e) for e in h.edges]
-    m = len(masks)
-    rows = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if masks[i] & masks[j]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(m, tuple(rows)), h.edges
+    incident = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            incident[v] |= 1 << i
+    rows = tuple(
+        (incident[a] | incident[b] | incident[c]) & ~(1 << i)
+        for i, (a, b, c) in enumerate(h.edges)
+    )
+    return Graph(len(h.edges), rows), h.edges
 
 
 def thick_pairs(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> list[ThickPair]:

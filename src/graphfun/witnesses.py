@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, mask_of, profiles
+from .graph import Graph, mask_of
 from .families import IntervalSet, Permutation, line_graph, permutation_graph, unit_interval_graph
 from .symdiff import sd_pair
 
@@ -36,12 +36,19 @@ class DnfWitness:
         return 0
 
     def verify(self, g: Graph) -> bool:
+        """Replay every vertex outside {target} | support at once: a term
+        holds at exactly the vertices adjacent to all its support vertices,
+        so the DNF's true set is the OR over terms of the AND of their rows."""
         trow = g.rows[self.target]
-        skip = mask_of(self.support) | (1 << self.target)
-        return all(
-            self.evaluate(p) == (trow >> z & 1)
-            for z, p in profiles(g, self.support, skip).items()
-        )
+        domain = ((1 << g.n) - 1) & ~(mask_of(self.support) | (1 << self.target))
+        literals = [g.rows[x] for x in self.support]
+        true_set = 0
+        for term in self.terms:
+            holds = domain
+            for i in term:
+                holds &= literals[i]
+            true_set |= holds
+        return true_set == trow & domain
 
 
 # --- unit interval graphs ---------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfun.families import (
     Hypergraph3,
@@ -161,3 +163,62 @@ def test_file_formats_round_trip():
     assert parse_hypergraph(format_hypergraph(h)) == h
     with pytest.raises(ValueError):
         parse_hypergraph("3 2\n0 1 2\n")
+
+
+# --- constructors against their pairwise definitions ------------------------
+
+
+def _pairwise_graph(n, adjacent):
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and adjacent(i, j):
+                rows[i] |= 1 << j
+    return Graph(n, tuple(rows))
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edge_list(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_line_graph_matches_pairwise(g):
+    edges = g.edges()
+    if not edges:
+        with pytest.raises(ValueError):
+            line_graph(g)
+        return
+    lg, names = line_graph(g)
+    assert names == tuple(edges)
+    assert lg == _pairwise_graph(len(edges), lambda i, j: bool(set(edges[i]) & set(edges[j])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.permutations(range(1, n + 1))))
+def test_permutation_graph_matches_pairwise(values):
+    p = Permutation(tuple(values))
+    pos = {v: i for i, v in enumerate(values)}
+    # vertex a - 1 is value a; values a < b are adjacent iff b comes first
+    expected = _pairwise_graph(
+        p.n, lambda i, j: (i < j) == (pos[i + 1] > pos[j + 1]))
+    assert permutation_graph(p) == expected
+    assert p.position_of() is p.position_of()
+    assert p.position_of() == {v: i + 1 for v, i in pos.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=20).flatmap(lambda d: st.tuples(
+    st.just(2 * d + 1),
+    st.lists(st.integers(min_value=0, max_value=4 * d + 2), unique=True, max_size=12))))
+def test_unit_interval_graph_matches_pairwise(case):
+    # even numerators over an odd denominator keep all 2n endpoints distinct
+    denom, numerators = case
+    lefts = [Fraction(2 * k, denom) for k in numerators]
+    ordered = sorted(lefts)
+    expected = _pairwise_graph(len(ordered), lambda i, j: abs(ordered[i] - ordered[j]) < 1)
+    assert unit_interval_graph(IntervalSet(tuple(lefts))) == expected

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfun.graph import (
     Graph,
@@ -90,3 +94,69 @@ def test_parse_graph_comments_and_errors():
         parse_graph("3 1\n0 3\n")  # out of range
     with pytest.raises(GraphFormatError):
         parse_graph("not a header\n")
+
+
+def test_huge_header_parses_in_linear_time():
+    """A header-only file used to run a pairwise symmetry check for hours."""
+    start = time.perf_counter()
+    g = parse_graph("400000 0")
+    assert time.perf_counter() - start < 5.0
+    assert g.n == 400000 and not any(g.rows)
+
+
+def _pairwise_validation_error(n, rows):
+    """Graph's checks as a pairwise loop over the lower triangle: the error
+    message, or None when the rows are accepted."""
+    if n < 0 or len(rows) != n:
+        return "row count must equal vertex count"
+    full = (1 << n) - 1
+    for v, row in enumerate(rows):
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+        if row & ~full:
+            return f"row {v} references vertices >= n"
+    for v in range(n):
+        for u in range(v):
+            if (rows[v] >> u & 1) != (rows[u] >> v & 1):
+                return f"adjacency not symmetric at ({u},{v})"
+    return None
+
+
+@st.composite
+def _row_tuples(draw):
+    """Symmetric rows with a few single-bit flips, which make loops,
+    out-of-range bits and asymmetric pairs, or arbitrary small ints, some
+    with one row too many or too few."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    if draw(st.booleans()):
+        size = max(draw(st.sampled_from([n, n, n, n - 1, n + 1])), 0)
+        return n, tuple(draw(st.lists(
+            st.integers(min_value=-2, max_value=(1 << (n + 1)) - 1), min_size=size, max_size=size)))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    if n:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            v = draw(st.integers(min_value=0, max_value=n - 1))
+            rows[v] ^= 1 << draw(st.integers(min_value=0, max_value=n + 1))
+    return n, tuple(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_tuples())
+def test_validation_matches_pairwise_loop(case):
+    n, rows = case
+    expected = _pairwise_validation_error(n, rows)
+    if expected is None:
+        assert Graph(n, rows).rows == rows
+        return
+    with pytest.raises(ValueError) as info:
+        Graph(n, rows)
+    message = str(info.value)
+    assert message == expected
+    if message.startswith("adjacency not symmetric"):
+        u, v = map(int, message.split("(")[1].rstrip(")").split(","))
+        assert (rows[v] >> u & 1) != (rows[u] >> v & 1)

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfun.families import Hypergraph3, random_3_hypergraph
 from graphfun.functionality import is_function_of
+from graphfun.graph import Graph
 from graphfun.hyper3 import (
     NO_THICK_WITNESS_BOUND,
     THICK_THRESHOLD,
@@ -37,6 +40,23 @@ def test_intersection_graph_disjoint_and_clique():
     assert gk.num_edges() == gk.n * (gk.n - 1) // 2
     with pytest.raises(ValueError):
         intersection_graph(Hypergraph3(3, ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=3, max_size=3)
+             .map(lambda e: tuple(sorted(e))), unique=True, min_size=1, max_size=14))))
+def test_intersection_graph_matches_pairwise(case):
+    n, edges = case
+    h = Hypergraph3.from_edges(n, edges)
+    rows = [0] * len(edges)
+    for i, j in itertools.permutations(range(len(edges)), 2):
+        if set(edges[i]) & set(edges[j]):
+            rows[i] |= 1 << j
+    g, names = intersection_graph(h)
+    assert names == tuple(edges)
+    assert g == Graph(len(edges), tuple(rows))
 
 
 def test_thick_pairs_threshold():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfun.families import (
     IntervalSet,
@@ -35,6 +37,35 @@ def test_dnf_witness_evaluate():
     assert w.evaluate(0b0101) == 0
     empty = DnfWitness(0, (), ())
     assert empty.evaluate(0) == 0
+
+
+@st.composite
+def _dnf_cases(draw):
+    """A random graph and a DNF over a support drawn with repeats; terms may
+    be empty, and so may the term list."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    g = random_graph(n, draw(st.sampled_from([0.2, 0.5, 0.8])),
+                     draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    target = draw(st.integers(min_value=0, max_value=n - 1))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    support = tuple(draw(st.lists(vertex, max_size=6)))
+    position = st.integers(min_value=0, max_value=max(len(support) - 1, 0))
+    term = st.lists(position, max_size=3 if support else 0).map(tuple)
+    terms = tuple(draw(st.lists(term, max_size=3)))
+    return g, DnfWitness(target, support, terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dnf_cases())
+def test_dnf_verify_matches_per_vertex_evaluate(case):
+    g, w = case
+    skip = {w.target, *w.support}
+    expected = all(
+        w.evaluate(sum(g.has_edge(z, x) << i for i, x in enumerate(w.support)))
+        == g.has_edge(w.target, z)
+        for z in range(g.n) if z not in skip
+    )
+    assert w.verify(g) == expected
 
 
 def test_unit_interval_pair_small():
