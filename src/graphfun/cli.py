@@ -21,7 +21,7 @@ import time
 
 from . import __version__, families, hyper3, kexpr, verify, witnesses
 from .functionality import fun_graph, fun_vertex, is_function_of, min_fun
-from .graph import GraphFormatError, format_graph, read_graph, write_graph
+from .graph import GraphFormatError, format_graph, mask_of, parse_graph
 from .params import degeneracy, vc_dimension
 from .symdiff import min_sd, sd_graph, sd_pair
 
@@ -58,8 +58,6 @@ def _read_text(path: str) -> str:
 def _parse_graph_file(path: str):
     text = _read_text(path)
     try:
-        from .graph import parse_graph
-
         return parse_graph(text), text
     except (GraphFormatError, ValueError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
@@ -68,9 +66,7 @@ def _parse_graph_file(path: str):
 def _witness_payload(w) -> dict:
     return {
         "target": w.target,
-        "support": sorted(w.support)
-        if isinstance(w.support, frozenset)
-        else list(w.support),
+        "support": list(w.support),
     }
 
 
@@ -146,19 +142,8 @@ def _cmd_fun(args) -> tuple[dict, str, int]:
         res = fun_graph(g, exact_limit=args.exact_limit)
     payload = _fun_result_payload(res)
     if args.recheck:
-        target_graph = g
-        if res.subgraph is not None:
-            from .graph import induced_subgraph
-
-            sub, mapping = induced_subgraph(g, res.subgraph)
-            back = {v: i for i, v in enumerate(mapping)}
-            ok = (
-                is_function_of(sub, back[res.witness_vertex],
-                               {back[v] for v in res.witness_set})
-                is not None
-            )
-        else:
-            ok = is_function_of(g, res.witness_vertex, res.witness_set) is not None
+        among = None if res.subgraph is None else mask_of(res.subgraph)
+        ok = is_function_of(g, res.witness_vertex, res.witness_set, among) is not None
         payload["recheck"] = ok
         if not ok:
             return payload, _digest(text), EXIT_VIOLATION
@@ -247,8 +232,6 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
                     return payload, _digest(text), EXIT_VIOLATION
             return payload, _digest(text), EXIT_OK
         # line-graph
-        from .graph import parse_graph
-
         g = parse_graph(text)
         if args.edge is None:
             raise CliError("witness line-graph requires --edge U V", EXIT_USAGE)

@@ -139,23 +139,30 @@ def unit_interval_graph(iv: IntervalSet) -> Graph:
     return Graph(iv.n, tuple(rows))
 
 
+def _incidence_graph(n: int, edges: Sequence[tuple[int, ...]]) -> Graph:
+    """One vertex per (hyper)edge over ground set 0..n-1, adjacent iff the
+    edges share a vertex.  ``incident[v]`` is the mask of edge indices at
+    v, so the row of an edge is the OR of its vertices' masks minus itself."""
+    incident = [0] * n
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v] |= 1 << i
+    rows = []
+    for i, e in enumerate(edges):
+        row = 0
+        for v in e:
+            row |= incident[v]
+        rows.append(row & ~(1 << i))
+    return Graph(len(edges), tuple(rows))
+
+
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """L(G): one vertex per edge of G in lexicographic order; adjacency iff
-    the edges share an endpoint.  The edge list maps vertices back.
-
-    ``incident[v]`` is the mask of edge indices at v, so the row of edge
-    ab is every edge at a or b except ab itself."""
+    the edges share an endpoint.  The edge list maps vertices back."""
     edge_names = tuple(g.edges())
     if not edge_names:
         raise ValueError("line graph of an edgeless graph is undefined")
-    incident = [0] * g.n
-    for i, (a, b) in enumerate(edge_names):
-        incident[a] |= 1 << i
-        incident[b] |= 1 << i
-    rows = tuple(
-        (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(edge_names)
-    )
-    return Graph(len(edge_names), rows), edge_names
+    return _incidence_graph(g.n, edge_names), edge_names
 
 
 def shattering_graph(n: int) -> Graph:

@@ -17,13 +17,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, hereditary_max_min, induced_subgraph, mask_of, profiles, _bits
+from .graph import Graph, hereditary_max_min, mask_of, _bits
 
 
 @dataclass(frozen=True)
 class WitnessFunction:
     """Partial Boolean function certifying that a vertex is a function of
-    ``support``.
+    ``support`` in G[among] (all of G when ``among`` is None).
 
     ``table`` maps each observed adjacency profile (an int whose bit i is
     the adjacency to support[i]) to the common adjacency value.  Profiles
@@ -34,6 +34,7 @@ class WitnessFunction:
     target: int
     support: tuple[int, ...]
     table: dict[int, int]
+    among: Optional[int] = None
 
     def is_dontcare(self, profile: int) -> bool:
         return profile not in self.table
@@ -43,13 +44,9 @@ class WitnessFunction:
         return self.table.get(profile, 0)
 
     def verify(self, g: Graph) -> bool:
-        """Replay the table against the graph it was built on."""
-        trow = g.rows[self.target]
-        skip = mask_of(self.support) | (1 << self.target)
-        return all(
-            self.table.get(p) == (trow >> z & 1)
-            for z, p in profiles(g, self.support, skip).items()
-        )
+        """Replay the table on the graph and vertex mask it was built on."""
+        fn = is_function_of(g, self.target, self.support, self.among)
+        return fn is not None and all(self.table.get(p) == v for p, v in fn.table.items())
 
 
 @dataclass(frozen=True)
@@ -61,22 +58,56 @@ class FunResult:
     subgraph: Optional[frozenset[int]] = None
 
 
-def is_function_of(g: Graph, y: int, support: Iterable[int]) -> Optional[WitnessFunction]:
-    """Witness that y is a function of ``support``, or None.
+def _domain(g: Graph, among: Optional[int], vertices: Iterable[int]) -> int:
+    """``among`` as a mask (all of G when None), checked to lie in G and hold ``vertices``."""
+    full = (1 << g.n) - 1
+    if among is None:
+        among = full
+    elif among & ~full:
+        raise ValueError(f"vertex mask {among:#x} has bits outside 0..{g.n - 1}")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if not among >> v & 1:
+            raise ValueError(f"vertex {v} lies outside the vertex mask")
+    return among
 
-    Fails iff two outside vertices share an adjacency profile over the
-    support but differ in adjacency to y.
+
+def is_function_of(
+    g: Graph, y: int, support: Iterable[int], among: Optional[int] = None
+) -> Optional[WitnessFunction]:
+    """Witness that y is a function of ``support`` in G[among] (all of G by
+    default), or None.
+
+    Each support row splits the outside vertices into profile cells: the
+    part of a cell inside the row and the part outside it, keeping the
+    non-empty parts only.  The support works iff every cell lies inside
+    N(y) or misses it; the table maps each cell's profile to that value.
     """
     supp = tuple(sorted(set(support)))
+    rest = _domain(g, among, (y,) + supp) & ~(mask_of(supp) | (1 << y))
     if y in supp:
         raise ValueError("target vertex may not belong to its own support")
-    table: dict[int, int] = {}
+    cells = [(0, rest)] if rest else []
+    for i, x in enumerate(supp):
+        row = g.rows[x]
+        bit = 1 << i
+        split = []
+        for p, cell in cells:
+            inside = cell & row
+            if inside:
+                split.append((p | bit, inside))
+            if inside != cell:
+                split.append((p, cell ^ inside))
+        cells = split
     yrow = g.rows[y]
-    for z, p in profiles(g, supp, mask_of(supp) | (1 << y)).items():
-        val = yrow >> z & 1
-        if table.setdefault(p, val) != val:
+    table: dict[int, int] = {}
+    for p, cell in cells:
+        adjacent = cell & yrow
+        if adjacent and adjacent != cell:
             return None
-    return WitnessFunction(y, supp, table)
+        table[p] = 1 if adjacent else 0
+    return WitnessFunction(y, supp, table, among)
 
 
 def _resolver_masks(g: Graph, y: int, among: Optional[int] = None) -> list[int]:
@@ -170,23 +201,29 @@ def _fun_search(
     return frozenset(_bits(best))
 
 
-def _certified(g: Graph, y: int, support: Optional[frozenset[int]]) -> FunResult:
-    """FunResult for a support a search returned, with its replayed witness
-    function; a missing or failing support is an internal error."""
-    fn = None if support is None else is_function_of(g, y, support)
+def _certified(
+    g: Graph, y: int, support: Optional[frozenset[int]], among: Optional[int] = None
+) -> FunResult:
+    """FunResult for a support a search returned in G[among], with its
+    replayed witness function and, when ``among`` is given, that subgraph;
+    a missing or failing support is an internal error."""
+    fn = None if support is None else is_function_of(g, y, support, among)
     if fn is None:
         raise RuntimeError(f"search returned no valid support for vertex {y}")
-    return FunResult(len(support), y, support, fn)
+    subgraph = None if among is None else frozenset(_bits(among))
+    return FunResult(len(support), y, support, fn, subgraph)
 
 
 def fun_vertex(g: Graph, y: int) -> FunResult:
     """Exact fun(y) with an attaining support and verified witness."""
+    _domain(g, None, (y,))
     return _certified(g, y, _fun_search(g, y))
 
 
 def fun_vertex_upper(g: Graph, y: int) -> FunResult:
     """Greedy upper bound on fun(y): repeatedly add the vertex resolving
     the most unresolved conflict pairs, ties by lowest index."""
+    _domain(g, None, (y,))
     masks = _resolver_masks(g, y)
     chosen = 0
     while True:
@@ -250,7 +287,8 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     Rejects graphs above ``exact_limit``; use fun_graph_lower for those.
     graph.hereditary_max_min scores each subset H as a vertex mask of G and
     stops at the first size whose bound floor((|H|-1)/2) cannot beat the
-    best value; only the winning subgraph is built, to report its witness.
+    best value.  The winning subset is searched again with no floor, and
+    its witness is certified on G restricted to that subset.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
@@ -264,21 +302,12 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
         found = _min_fun_over(g, among, floor)
         return None if found is None else len(found[1])
 
-    best_value, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score)
-    sub, mapping = induced_subgraph(g, best_subset)
-    inner = min_fun(sub)
-    fn = WitnessFunction(
-        mapping[inner.witness_vertex],
-        tuple(mapping[x] for x in inner.witness_fn.support),
-        dict(inner.witness_fn.table),
-    )
-    return FunResult(
-        best_value,
-        mapping[inner.witness_vertex],
-        frozenset(mapping[x] for x in inner.witness_set),
-        fn,
-        subgraph=frozenset(best_subset),
-    )
+    _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score)
+    among = mask_of(best_subset)
+    found = _min_fun_over(g, among, -1)
+    if found is None:
+        raise RuntimeError("no vertex of the attaining subgraph has a support")
+    return _certified(g, *found, among)
 
 
 def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:

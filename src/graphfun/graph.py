@@ -127,17 +127,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(order), tuple(rows)), tuple(order)
 
 
-def profiles(g: Graph, support: tuple[int, ...], skip: int) -> dict[int, int]:
-    """Adjacency profile over ``support`` of every vertex outside the mask
-    ``skip``, keyed by vertex in ascending order: bit i of z's profile is
-    set iff z ~ support[i]."""
-    out = {z: 0 for z in range(g.n) if not skip >> z & 1}
-    for i, x in enumerate(support):
-        for z in _bits(g.rows[x] & ~skip):
-            out[z] |= 1 << i
-    return out
-
-
 def hereditary_max_min(
     g: Graph,
     min_size: int,

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .families import Hypergraph3
+from .families import Hypergraph3, _incidence_graph
 from .functionality import is_function_of
 from .graph import Graph
 
@@ -67,19 +67,10 @@ class Hyper3Report:
 
 def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int], ...]]:
     """One vertex per hyperedge in input order; adjacency iff the
-    hyperedges share a ground-set vertex.  ``incident[v]`` is the mask of
-    hyperedge indices at v, as in ``families.line_graph``."""
+    hyperedges share a ground-set vertex."""
     if not h.edges:
         raise ValueError("intersection graph of an empty hypergraph is undefined")
-    incident = [0] * h.n
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incident[v] |= 1 << i
-    rows = tuple(
-        (incident[a] | incident[b] | incident[c]) & ~(1 << i)
-        for i, (a, b, c) in enumerate(h.edges)
-    )
-    return Graph(len(h.edges), rows), h.edges
+    return _incidence_graph(h.n, h.edges), h.edges
 
 
 def thick_pairs(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> list[ThickPair]:

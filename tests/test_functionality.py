@@ -12,7 +12,7 @@ from graphfun.functionality import (
     is_function_of,
     min_fun,
 )
-from graphfun.graph import Graph, induced_subgraph
+from graphfun.graph import Graph, induced_subgraph, mask_of
 from graphfun.naive import naive_fun_graph, naive_fun_vertex, naive_min_fun
 from graphfun.symdiff import sd_pair
 
@@ -37,6 +37,58 @@ def test_is_function_of_rejects_target_in_support():
     g = cycle(5)
     with pytest.raises(ValueError):
         is_function_of(g, 0, {0, 1})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda g: is_function_of(g, 0, [5]), "vertex 5 out of range", id="support-n"),
+        pytest.param(lambda g: is_function_of(g, 0, [-1]), "vertex -1 out of range", id="support-neg"),
+        pytest.param(lambda g: is_function_of(g, 5, [1]), "vertex 5 out of range", id="target-n"),
+        pytest.param(lambda g: fun_vertex(g, 5), "vertex 5 out of range", id="fun-vertex-n"),
+        pytest.param(lambda g: fun_vertex(g, -1), "vertex -1 out of range", id="fun-vertex-neg"),
+        pytest.param(lambda g: fun_vertex_upper(g, 5), "vertex 5 out of range", id="upper-n"),
+        pytest.param(lambda g: is_function_of(g, 0, [1], among=0b100011), "bits outside",
+                     id="mask-above-n"),
+        pytest.param(lambda g: is_function_of(g, 0, [1], among=-1), "bits outside", id="mask-neg"),
+        pytest.param(lambda g: is_function_of(g, 0, [1], among=0b00010), "vertex 0 lies outside",
+                     id="target-outside-mask"),
+        pytest.param(lambda g: is_function_of(g, 0, [2], among=0b00011), "vertex 2 lies outside",
+                     id="support-outside-mask"),
+    ],
+)
+def test_vertices_outside_the_graph_or_mask_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(cycle(5))
+
+
+def _per_vertex_table(g, y, support, among):
+    """The definition, one outside vertex at a time: z's profile over the
+    sorted support decides A(y, z) for every z in among - support - {y}."""
+    order = sorted(support)
+    table = {}
+    for z in range(g.n):
+        if among >> z & 1 and z != y and z not in support:
+            profile = sum(1 << i for i, x in enumerate(order) if g.has_edge(z, x))
+            if table.setdefault(profile, int(g.has_edge(y, z))) != int(g.has_edge(y, z)):
+                return None
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs, st.data())
+def test_is_function_of_matches_per_vertex_definition(g, data):
+    among = data.draw(st.integers(min_value=1, max_value=(1 << g.n) - 1))
+    inside = [v for v in range(g.n) if among >> v & 1]
+    y = data.draw(st.sampled_from(inside))
+    support = set(data.draw(st.lists(st.sampled_from(inside)))) - {y}
+    expected = _per_vertex_table(g, y, support, among)
+    fn = is_function_of(g, y, support, among)
+    if expected is None:
+        assert fn is None
+    else:
+        assert fn is not None and fn.table == expected
+        assert fn.support == tuple(sorted(support)) and fn.verify(g)
 
 
 def test_is_function_of_full_support_always_works():
@@ -86,6 +138,16 @@ def test_fun_graph_reports_attaining_subgraph():
         is_function_of(sub, back[res.witness_vertex], {back[v] for v in res.witness_set})
         is not None
     )
+
+
+def test_fun_graph_witness_replays_on_its_own_graph():
+    # the witness holds in the attaining subgraph only, so it must replay
+    # there and not on all of G
+    for seed in range(40):
+        g = random_graph(9, 0.5, seed)
+        res = fun_graph(g)
+        assert res.witness_fn.verify(g)
+        assert res.witness_fn.among == mask_of(res.subgraph)
 
 
 def test_fun_graph_lower_is_a_lower_bound():
