@@ -222,12 +222,13 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
             return payload, _digest(text), EXIT_OK
         if args.kind == "permutation":
             p = families.parse_permutation(text)
-            w = witnesses.permutation_witness(p)
+            host = families.permutation_graph(p)
+            w = witnesses.permutation_witness(p, host=host)
             payload = _witness_payload(w)
             payload["terms"] = [list(t) for t in w.terms]
             payload["support_size"] = len(set(w.support))
             if args.recheck:
-                payload["recheck"] = w.verify(families.permutation_graph(p))
+                payload["recheck"] = w.verify(host)
                 if not payload["recheck"]:
                     return payload, _digest(text), EXIT_VIOLATION
             return payload, _digest(text), EXIT_OK
@@ -241,12 +242,12 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
                 raise CliError(f"vertex {x} out of range", EXIT_USAGE)
         if not g.has_edge(u, v):
             raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
-        w = witnesses.line_graph_witness(g, (u, v))
+        host = families.line_graph(g)
+        w = witnesses.line_graph_witness(g, (u, v), host=host)
         payload = _witness_payload(w)
         payload["terms"] = [list(t) for t in w.terms]
         if args.recheck:
-            lg, _ = families.line_graph(g)
-            payload["recheck"] = w.verify(lg)
+            payload["recheck"] = w.verify(host[0])
             if not payload["recheck"]:
                 return payload, _digest(text), EXIT_VIOLATION
         return payload, _digest(text), EXIT_OK
@@ -263,7 +264,10 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
     except ValueError as exc:
         raise CliError(f"{args.hypergraphfile}: {exc}", EXIT_PARSE) from exc
     if args.mode == "bound":
-        report = hyper3.hyper3_fun_bound(h)
+        if not h.edges:
+            raise CliError("need at least one hyperedge", EXIT_USAGE)
+        host = hyper3.intersection_graph(h)
+        report = hyper3.hyper3_fun_bound(h, host=host)
         payload = {
             "s_index": report.s_index,
             "s": list(report.s),
@@ -272,9 +276,8 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
             "thick_case": report.thick_case,
         }
         if args.recheck:
-            ig, _ = hyper3.intersection_graph(h)
             payload["recheck"] = (
-                is_function_of(ig, report.s_index, report.f_indices) is not None
+                is_function_of(host[0], report.s_index, report.f_indices) is not None
             )
             if not payload["recheck"]:
                 return payload, _digest(text), EXIT_VIOLATION

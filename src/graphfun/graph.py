@@ -66,17 +66,23 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
+    def _vertex(self, v: int) -> int:
+        """v itself; a ValueError names a v outside 0..n-1."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.rows[self._vertex(u)] >> self._vertex(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.rows[self._vertex(v)].bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.rows[v]))
+        return frozenset(_bits(self.rows[self._vertex(v)]))
 
     def closed_neighborhood_mask(self, v: int) -> int:
-        return self.rows[v] | (1 << v)
+        return self.rows[self._vertex(v)] | (1 << v)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -87,7 +93,7 @@ class Graph:
         return out
 
     def num_edges(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
 
 def _bits(mask: int):
@@ -162,7 +168,7 @@ def sym_diff_mask(g: Graph, u: int, v: int) -> int:
     """Bitmask of (N(u) xor N(v)) minus {u, v}."""
     if u == v:
         raise ValueError("symmetric difference of a vertex with itself")
-    return (g.rows[u] ^ g.rows[v]) & ~(1 << u) & ~(1 << v)
+    return (g.rows[g._vertex(u)] ^ g.rows[g._vertex(v)]) & ~(1 << u) & ~(1 << v)
 
 
 def sym_diff_neighborhoods(g: Graph, u: int, v: int) -> frozenset[int]:

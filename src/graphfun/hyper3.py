@@ -110,14 +110,30 @@ def matching_or_cover(h: Hypergraph3, v: int) -> MatchingOrCover:
     return MatchingOrCover("cover", cover=tuple(covered))
 
 
-def _verify_determining(h: Hypergraph3, s_idx: int, f_indices: set[int]) -> bool:
-    ig, _ = intersection_graph(h)
+Host = tuple[Graph, tuple[tuple[int, int, int], ...]]
+
+
+def _prepared(h: Hypergraph3, host: Optional[Host]) -> Host:
+    """``host``, the ``intersection_graph(h)`` pair a caller built, checked
+    against h; built here when None."""
+    if host is None:
+        return intersection_graph(h)
+    if host[0].n != len(h.edges):
+        raise ValueError(f"host has {host[0].n} vertices for {len(h.edges)} hyperedges")
+    return host
+
+
+def _verify_determining(h: Hypergraph3, s_idx: int, f_indices: set[int],
+                        host: Optional[Host] = None) -> bool:
+    ig, _ = _prepared(h, host)
     return is_function_of(ig, s_idx, f_indices) is not None
 
 
-def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD) -> tuple[int, ...]:
+def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD, *,
+                     host: Optional[Host] = None) -> tuple[int, ...]:
     """Determining set F around hyperedge s, |F| <= 462, for hypergraphs
-    without thick pairs.  Verified by replay before returning."""
+    without thick pairs.  Verified by replay on ``host`` (the
+    ``intersection_graph(h)`` pair, built when None) before returning."""
     if thick_pairs(h, threshold):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
     edges = h.edges
@@ -160,7 +176,7 @@ def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD) -> tup
                 if v in e and covered & set(e):
                     f.add(j)
 
-    if not _verify_determining(h, s_idx, f):
+    if not _verify_determining(h, s_idx, f, host):
         raise RuntimeError("no-thick-pair witness failed verification")
     return tuple(sorted(f))
 
@@ -305,10 +321,11 @@ def find_thick_structure(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> Th
 
 
 def witness_thick(
-    h: Hypergraph3, threshold: int = THICK_THRESHOLD
+    h: Hypergraph3, threshold: int = THICK_THRESHOLD, *, host: Optional[Host] = None
 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
-    pair.  Verified by replay before returning."""
+    pair.  Verified by replay on ``host`` (the ``intersection_graph(h)``
+    pair, built when None) before returning."""
     st = find_thick_structure(h, threshold)
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
@@ -338,23 +355,27 @@ def witness_thick(
         f.update(index[p] for p in st.parts)
         add_if_present(set().union(*map(set, st.parts)) - {v2, v3})
 
-    if not _verify_determining(h, index[s_key], f):
+    if not _verify_determining(h, index[s_key], f, host):
         raise RuntimeError("thick-pair witness failed verification")
     return st.s, tuple(sorted(f))
 
 
-def hyper3_fun_bound(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> Hyper3Report:
+def hyper3_fun_bound(h: Hypergraph3, threshold: int = THICK_THRESHOLD, *,
+                     host: Optional[Host] = None) -> Hyper3Report:
     """Certified functionality bound for one vertex of the intersection
     graph: the no-thick-pair construction around the first hyperedge, or
-    the structural construction when a thick pair exists."""
+    the structural construction when a thick pair exists.  The witness is
+    verified on ``host`` (the ``intersection_graph(h)`` pair, built when
+    None)."""
     if not h.edges:
         raise ValueError("need at least one hyperedge")
+    host = _prepared(h, host)
     if thick_pairs(h, threshold):
-        s, f = witness_thick(h, threshold)
+        s, f = witness_thick(h, threshold, host=host)
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = witness_no_thick(h, s, threshold)
+    f = witness_no_thick(h, s, threshold, host=host)
     return Hyper3Report(0, s, f, len(f), False)
 
 

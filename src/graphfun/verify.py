@@ -100,14 +100,15 @@ def verify_permutation(seed: int = 0, cases: int = 100, **_ignored) -> tuple[boo
     for i in range(cases):
         n = rng.randint(13, 200)
         p = random_permutation(n, rng.randrange(2**32))
-        w = witnesses.permutation_witness(p)
+        host = permutation_graph(p)
+        w = witnesses.permutation_witness(p, host=host)
         size = len(set(w.support))
-        if size > 8 or not w.verify(permutation_graph(p)):
+        if size > 8 or not w.verify(host):
             failures.append({"case": i, "n": n, "support_size": size})
             continue
         if n <= 20:
             checked_exact += 1
-            exact = fun_vertex(permutation_graph(p), w.target).value
+            exact = fun_vertex(host, w.target).value
             if exact > 8:
                 failures.append({"case": i, "n": n, "exact_fun": exact})
     return not failures, {
@@ -123,9 +124,10 @@ def verify_line_graph(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool,
     edges_checked = 0
     for i in range(cases):
         g = random_graph(30, 0.3, rng.randrange(2**32))
-        for e in g.edges():
+        host = families.line_graph(g)
+        for e in host[1]:
             edges_checked += 1
-            w = witnesses.line_graph_witness(g, e)
+            w = witnesses.line_graph_witness(g, e, host=host)
             if len(w.support) > 6:
                 failures.append({"case": i, "edge": list(e), "support": len(w.support)})
     return not failures, {
@@ -252,8 +254,9 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     max_f = 0
     for i in range(cases):
         h = _no_thick_instance(rng.randrange(2**32))
+        host = hyper3.intersection_graph(h)
         for s in h.edges:
-            f = hyper3.witness_no_thick(h, s)
+            f = hyper3.witness_no_thick(h, s, host=host)
             max_f = max(max_f, len(f))
             if len(f) > hyper3.NO_THICK_WITNESS_BOUND:
                 failures.append({"case": i, "s": list(s), "size": len(f)})

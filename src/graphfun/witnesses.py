@@ -7,9 +7,10 @@ a return value.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
-from .graph import Graph, mask_of
+from .graph import Graph, _bits, mask_of
 from .families import IntervalSet, Permutation, line_graph, permutation_graph, unit_interval_graph
 from .symdiff import sd_pair
 
@@ -107,47 +108,44 @@ def classify_middles(p: Permutation) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(vertical), frozenset(horizontal)
 
 
-def _reduced_neighbours(p: Permutation, x: int, removed: frozenset[int]):
-    """Immediate position- and value-neighbours of point x once ``removed``
-    points are deleted; None when x sits on a boundary."""
-    pos = p.position_of()
+def _step1_support(values: tuple[int, ...], pos: dict[int, int], x: int, removed=()):
+    """Support (r, b, l, t) when x is a simultaneous strict middle once the
+    ``removed`` values are deleted, else None.
+
+    ``values`` is the one-line permutation and ``pos`` its
+    ``position_of()`` map.  (b, t) are x's nearest kept position-neighbours,
+    lower and higher by value; (l, r) its nearest kept value-neighbours,
+    left and right by position."""
+    n = len(values)
     px = pos[x]
-    left = right = None
-    for i in range(px - 1, 0, -1):
-        if p.values[i - 1] not in removed:
-            left = p.values[i - 1]
-            break
-    for i in range(px + 1, p.n + 1):
-        if p.values[i - 1] not in removed:
-            right = p.values[i - 1]
-            break
-    below = above = None
-    for v in range(x - 1, 0, -1):
-        if v not in removed:
-            below = v
-            break
-    for v in range(x + 1, p.n + 1):
-        if v not in removed:
-            above = v
-            break
-    return left, right, below, above
-
-
-def _step1_support(p: Permutation, x: int, removed: frozenset[int]):
-    """Support (r, b, l, t) when x is a simultaneous strict middle in the
-    reduced point set, else None."""
-    pos = p.position_of()
-    left, right, below, above = _reduced_neighbours(p, x, removed)
-    if None in (left, right, below, above):
+    i = px - 2
+    while i >= 0 and values[i] in removed:
+        i -= 1
+    j = px
+    while j < n and values[j] in removed:
+        j += 1
+    below = x - 1
+    while below in removed:
+        below -= 1
+    above = x + 1
+    while above in removed:
+        above += 1
+    if i < 0 or j == n or below == 0 or above > n:
         return None
-    if not min(left, right) < x < max(left, right):
+    b, t = values[i], values[j]
+    if b > t:
+        b, t = t, b
+    if not b < x < t:
         return None
-    if not min(pos[below], pos[above]) < pos[x] < max(pos[below], pos[above]):
-        return None
-    t = max(left, right)          # higher of the two position-neighbours
-    b = min(left, right)
-    r = below if pos[below] > pos[above] else above   # rightmost value-neighbour
-    l = below if pos[below] < pos[above] else above
+    pb, pa = pos[below], pos[above]
+    if pb < pa:
+        r, l = above, below
+        if not pb < px < pa:
+            return None
+    else:
+        r, l = below, above
+        if not pa < px < pb:
+            return None
     return r, b, l, t
 
 
@@ -158,7 +156,9 @@ def strict_middle_witness(p: Permutation, x: int) -> DnfWitness:
     Support order is (r, b, l, t) as graph vertices (value - 1); the DNF is
     x_r x_b or x_l x_t.
     """
-    support = _step1_support(p, x, frozenset())
+    if not 1 <= x <= p.n:
+        raise ValueError(f"point {x} out of range for n={p.n}")
+    support = _step1_support(p.values, p.position_of(), x)
     if support is None:
         raise ValueError(f"point {x} is not a simultaneous strict middle")
     r, b, l, t = support
@@ -168,32 +168,18 @@ def strict_middle_witness(p: Permutation, x: int) -> DnfWitness:
     return witness
 
 
-def _weak_windows(p: Permutation, x: int):
-    """Qualifying 5-point windows for x in each direction.
-
-    Yields ('pos', t, b, m3, m4) for position windows where x is among the
-    middle three by value, and ('val', l, r, m1, m2) for value windows
-    where x is among the middle three by position.
-    """
-    pos = p.position_of()
-    px = pos[x]
-    out = []
-    for a in range(max(1, px - 4), min(px, p.n - 4) + 1):
-        window = list(p.values[a - 1:a + 4])
-        by_value = sorted(window)
-        if x in by_value[1:4]:
-            mids = [v for v in by_value[1:4] if v != x]
-            out.append(("pos", by_value[4], by_value[0], mids[0], mids[1]))
-    for v0 in range(max(1, x - 4), min(x, p.n - 4) + 1):
-        window = list(range(v0, v0 + 5))
-        by_pos = sorted(window, key=lambda w: pos[w])
-        if x in by_pos[1:4]:
-            mids = [v for v in by_pos[1:4] if v != x]
-            out.append(("val", by_pos[0], by_pos[4], mids[0], mids[1]))
+def _companions(windows) -> dict[int, list[tuple[int, int]]]:
+    """For each of the three middles of every sorted 5-point window, its
+    two companion middles in window order; windows go in the given order."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for _, m1, m2, m3, _ in windows:
+        out.setdefault(m1, []).append((m2, m3))
+        out.setdefault(m2, []).append((m1, m3))
+        out.setdefault(m3, []).append((m1, m2))
     return out
 
 
-def permutation_witness(p: Permutation) -> DnfWitness:
+def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitness:
     """Witness of size at most 8 for some vertex of a permutation graph.
 
     Finds a point that is simultaneously a weak vertical and weak horizontal
@@ -201,30 +187,41 @@ def permutation_witness(p: Permutation) -> DnfWitness:
     middle support in the reduced point set, and verifies the resulting DNF
     x_r x_b or x_l x_t against the full graph (the removed points join the
     support purely to be excluded from the domain).
+
+    A weak vertical middle is among the middle three by value of some 5
+    position-consecutive points; a weak horizontal middle is among the
+    middle three by position of some 5 value-consecutive points.  Each
+    window is sorted once.  ``host`` is ``permutation_graph(p)`` when the
+    caller has built it; the witness is verified on it.
     """
     if p.n <= 12:
         raise ValueError(
             "need at least 13 points; any graph on at most 12 vertices has "
             "functionality at most 6 without this construction"
         )
+    if host is None:
+        host = permutation_graph(p)
+    elif host.n != p.n:
+        raise ValueError(f"host has {host.n} vertices for {p.n} points")
+    values = p.values
+    pos = p.position_of()
+    by_position = _companions(sorted(values[a:a + 5]) for a in range(p.n - 4))
+    by_value = _companions(
+        sorted(range(v, v + 5), key=pos.__getitem__) for v in range(1, p.n - 3)
+    )
     candidates = []
     for x in range(1, p.n + 1):
-        windows = _weak_windows(p, x)
-        pos_windows = [w for w in windows if w[0] == "pos"]
-        val_windows = [w for w in windows if w[0] == "val"]
-        for _, t, b, m3, m4 in pos_windows:
-            for _, l, r, m1, m2 in val_windows:
-                removed = frozenset({m1, m2, m3, m4})
-                support = _step1_support(p, x, removed)
+        val_pairs = by_value.get(x, ())
+        for m3, m4 in by_position.get(x, ()):
+            for m1, m2 in val_pairs:
+                support = _step1_support(values, pos, x, (m1, m2, m3, m4))
                 if support is None:
                     continue
-                rr, bb, ll, tt = support
-                full = (rr, bb, ll, tt) + tuple(sorted(removed))
+                full = support + tuple(sorted({m1, m2, m3, m4}))
                 candidates.append((len(set(full)), x, full))
-    g = permutation_graph(p)
     for _, x, full in sorted(candidates, key=lambda c: (c[0], c[1])):
         witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
-        if witness.verify(g):
+        if witness.verify(host):
             return witness
     raise RuntimeError("no simultaneous weak middle point produced a verified witness")
 
@@ -232,23 +229,37 @@ def permutation_witness(p: Permutation) -> DnfWitness:
 # --- line graphs ------------------------------------------------------------
 
 
-def line_graph_witness(g: Graph, x: tuple[int, int]) -> DnfWitness:
+def line_graph_witness(
+    g: Graph,
+    x: tuple[int, int],
+    *,
+    host: tuple[Graph, tuple[tuple[int, int], ...]] | None = None,
+) -> DnfWitness:
     """Witness of size at most 6 for the vertex of L(G) corresponding to
     edge x, built from up to three incident edges at each endpoint.
 
     An endpoint of degree at least 4 contributes a 3-edge conjunction; a
     lower-degree endpoint contributes all its other incident edges to the
     support with no term.  Both terms dropped means the constant-0 function.
+    ``host`` is the ``line_graph(g)`` pair when the caller has built it; the
+    witness is verified on it.
     """
     a, b = min(x), max(x)
     if not g.has_edge(a, b):
         raise ValueError(f"({a},{b}) is not an edge")
-    lg, names = line_graph(g)
-    index = {e: i for i, e in enumerate(names)}
-    target = index[(a, b)]
+    if host is None:
+        host = line_graph(g)
+    lg, names = host
+    if lg.n != g.num_edges() or len(names) != lg.n:
+        raise ValueError(f"host has {lg.n} vertices for {g.num_edges()} edges")
+    target = bisect.bisect_left(names, (a, b))
+    if target == len(names) or names[target] != (a, b):
+        raise ValueError(f"host does not list edge ({a},{b})")
+    # the edges at a or b other than x, in index order
+    touching = [(i, names[i]) for i in _bits(lg.rows[target])]
 
     def side(endpoint: int) -> tuple[list[int], bool]:
-        incident = [index[e] for e in names if endpoint in e and e != (a, b)]
+        incident = [i for i, e in touching if endpoint in e]
         if g.degree(endpoint) >= 4:
             return incident[:3], True
         return incident, False

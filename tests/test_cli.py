@@ -144,7 +144,7 @@ def test_parse_errors(tmp_path, capsys):
 def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     from graphfun import witnesses
 
-    def fail(g, edge):
+    def fail(g, edge, host=None):
         raise RuntimeError("line graph witness failed verification")
 
     monkeypatch.setattr(witnesses, "line_graph_witness", fail)
@@ -164,3 +164,39 @@ def test_parse_error_regressions(tmp_path, capsys):
     deep.write_text("u(" * 5000)  # used to raise RecursionError
     assert main(["kexpr", "eval", str(deep)]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["line-graph", "permutation", "thick", "no-thick"])
+def test_recheck_builds_the_host_once(tmp_path, capsys, monkeypatch, kind):
+    from graphfun import families, hyper3, verify, witnesses
+
+    if kind == "line-graph":
+        modules, name = (families, witnesses), "line_graph"
+        path = tmp_path / "g.txt"
+        write_graph(random_graph(30, 0.3, 5), path)
+        u, v = random_graph(30, 0.3, 5).edges()[0]
+        argv = ["witness", "line-graph", str(path), "--edge", str(u), str(v)]
+    elif kind == "permutation":
+        modules, name = (families, witnesses), "permutation_graph"
+        path = tmp_path / "p.txt"
+        path.write_text(families.format_permutation(families.random_permutation(40, 5)))
+        argv = ["witness", "permutation", str(path)]
+    else:
+        modules, name = (hyper3,), "intersection_graph"
+        h = hyper3.fixture_fly() if kind == "thick" else verify._no_thick_instance(5)
+        path = tmp_path / "h.hyper"
+        path.write_text(families.format_hypergraph(h))
+        argv = ["hyper3", "bound", str(path)]
+    calls = []
+    build = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    # witnesses imports its constructors by name, so both references count
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    code, report = run(capsys, argv + ["--recheck"])
+    assert code == 0 and report["result"]["recheck"] is True
+    assert len(calls) == 1

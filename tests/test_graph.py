@@ -14,6 +14,8 @@ from graphfun.graph import (
     parse_graph,
     sym_diff_neighborhoods,
 )
+from graphfun.families import random_graph
+from graphfun.symdiff import sd_pair
 
 
 def path(n):
@@ -160,3 +162,25 @@ def test_validation_matches_pairwise_loop(case):
     if message.startswith("adjacency not symmetric"):
         u, v = map(int, message.split("(")[1].rstrip(")").split(","))
         assert (rows[v] >> u & 1) != (rows[u] >> v & 1)
+
+
+RANGE_CASES = {
+    "sd_pair-n": (lambda g: sd_pair(g, 0, g.n), 5),
+    "sd_pair-negative": (lambda g: sd_pair(g, 0, -1), -1),
+    "has_edge-negative": (lambda g: g.has_edge(0, -1), -1),
+    "has_edge-above-n": (lambda g: g.has_edge(0, 7), 7),
+    "has_edge-first-n": (lambda g: g.has_edge(5, 0), 5),
+    "degree-negative": (lambda g: g.degree(-1), -1),
+    "neighbors-n": (lambda g: g.neighbors(5), 5),
+    "closed_neighborhood_mask-negative": (lambda g: g.closed_neighborhood_mask(-2), -2),
+    "sym_diff_neighborhoods-above-n": (lambda g: sym_diff_neighborhoods(g, 6, 0), 6),
+    "is_twin_pair-n": (lambda g: is_twin_pair(g, 0, 5), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_vertex_taking_functions_reject_out_of_range(case):
+    call, vertex = RANGE_CASES[case]
+    g = random_graph(5, 0.5, 1)
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+        call(g)

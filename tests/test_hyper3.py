@@ -186,3 +186,18 @@ def test_no_thick_instance_is_bounded(monkeypatch):
     monkeypatch.setattr(verify, "NO_THICK_DRAWS", 0)
     with pytest.raises(RuntimeError):
         verify._no_thick_instance(0)
+
+
+def test_hyper3_host_of_the_wrong_size_is_rejected():
+    fly = fixture_fly()
+    disjoint = Hypergraph3.from_edges(12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
+    wrong = intersection_graph(Hypergraph3.from_edges(6, [(0, 1, 2), (3, 4, 5)]))
+    with pytest.raises(ValueError, match="host"):
+        hyper3_fun_bound(fly, host=wrong)
+    with pytest.raises(ValueError, match="host"):
+        hyper3_fun_bound(disjoint, host=wrong)
+    with pytest.raises(ValueError, match="host"):
+        witness_thick(fly, host=wrong)
+    with pytest.raises(ValueError, match="host"):
+        witness_no_thick(disjoint, (0, 1, 2), host=wrong)
+    assert hyper3_fun_bound(fly, host=intersection_graph(fly)) == hyper3_fun_bound(fly)

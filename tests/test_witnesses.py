@@ -130,10 +130,16 @@ def test_strict_middle_614253_boundary_rejected():
         strict_middle_witness(Permutation((6, 1, 4, 2, 5, 3)), 1)
 
 
+@pytest.mark.parametrize("x", [0, -1, 7])
+def test_strict_middle_rejects_points_outside(x):
+    with pytest.raises(ValueError, match="out of range"):
+        strict_middle_witness(Permutation((6, 1, 4, 2, 5, 3)), x)
+
+
 def _try_strict(p, x):
     from graphfun.witnesses import _step1_support
 
-    return _step1_support(p, x, frozenset()) is not None
+    return _step1_support(p.values, p.position_of(), x) is not None
 
 
 def test_permutation_witness_small_n_rejected():
@@ -190,3 +196,87 @@ def test_line_graph_witness_every_edge_random():
             w = line_graph_witness(g, e)
             assert len(w.support) <= 6
             assert w.verify(lg)
+
+
+# (target, support, terms) of permutation_witness(random_permutation(n, n)),
+# recorded before the windows were sorted once per permutation.
+GOLDEN_PERMUTATION_WITNESSES = {
+    13: (3, (4, 1, 1, 10, 2, 6, 9), ((0, 1), (2, 3))),
+    20: (16, (19, 14, 14, 19, 15, 17, 18), ((0, 1), (2, 3))),
+    30: (11, (12, 10, 10, 27, 7, 8, 22), ((0, 1), (2, 3))),
+    50: (4, (5, 3, 3, 36, 0, 1, 12, 29), ((0, 1), (2, 3))),
+    75: (9, (8, 8, 11, 69, 10, 13, 19, 45), ((0, 1), (2, 3))),
+    100: (70, (72, 43, 69, 72, 65, 67, 71), ((0, 1), (2, 3))),
+    150: (5, (2, 2, 6, 138, 3, 4, 64, 116), ((0, 1), (2, 3))),
+    200: (33, (31, 31, 34, 125, 32, 35, 123), ((0, 1), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_PERMUTATION_WITNESSES))
+def test_permutation_witness_is_reproduced(n):
+    p = random_permutation(n, n)
+    w = permutation_witness(p)
+    assert (w.target, w.support, w.terms) == GOLDEN_PERMUTATION_WITNESSES[n]
+    assert permutation_witness(p, host=permutation_graph(p)) == w
+
+
+def test_witness_host_of_the_wrong_size_is_rejected():
+    g = complete(5)
+    lg, names = line_graph(g)
+    smaller = line_graph(complete(4))
+    with pytest.raises(ValueError, match="host"):
+        line_graph_witness(g, (0, 1), host=smaller)
+    with pytest.raises(ValueError, match="host"):
+        line_graph_witness(g, (0, 1), host=(lg, names[:-1]))
+    assert line_graph_witness(g, (0, 1), host=(lg, names)) == line_graph_witness(g, (0, 1))
+    p = random_permutation(20, 1)
+    with pytest.raises(ValueError, match="host"):
+        permutation_witness(p, host=permutation_graph(random_permutation(21, 1)))
+
+
+def _reference_permutation_witness(p):
+    """permutation_witness by its definition, point by point: the windows
+    around x, x's reduced neighbours found by scanning, every candidate
+    ordered by (size, x) and the first that replays returned."""
+    pos = p.position_of()
+    values, n = p.values, p.n
+
+    def middles(window, key):
+        return sorted(window, key=key)[1:4]
+
+    by_pos = [middles(values[a:a + 5], None) for a in range(n - 4)]
+    by_val = [middles(range(v, v + 5), pos.get) for v in range(1, n - 3)]
+    candidates = []
+    for x in range(1, n + 1):
+        pos_pairs = [[m for m in w if m != x] for w in by_pos if x in w]
+        val_pairs = [[m for m in w if m != x] for w in by_val if x in w]
+        for m3, m4 in pos_pairs:
+            for m1, m2 in val_pairs:
+                removed = {m1, m2, m3, m4}
+                kept = [v for v in values if v not in removed]
+                k = kept.index(x)
+                lower = [v for v in range(1, x) if v not in removed]
+                upper = [v for v in range(x + 1, n + 1) if v not in removed]
+                if k == 0 or k == len(kept) - 1 or not lower or not upper:
+                    continue
+                left, right, below, above = kept[k - 1], kept[k + 1], lower[-1], upper[0]
+                if not min(left, right) < x < max(left, right):
+                    continue
+                if not min(pos[below], pos[above]) < pos[x] < max(pos[below], pos[above]):
+                    continue
+                r, l = (below, above) if pos[below] > pos[above] else (above, below)
+                full = (r, min(left, right), l, max(left, right)) + tuple(sorted(removed))
+                candidates.append((len(set(full)), x, full))
+    g = permutation_graph(p)
+    for _, x, full in sorted(candidates, key=lambda c: (c[0], c[1])):
+        w = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
+        if w.verify(g):
+            return w
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(13, 24), st.integers(0, 2**32 - 1))
+def test_permutation_witness_matches_pointwise_definition(n, seed):
+    p = random_permutation(n, seed)
+    assert permutation_witness(p) == _reference_permutation_witness(p)
