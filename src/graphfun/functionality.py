@@ -287,8 +287,10 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     Rejects graphs above ``exact_limit``; use fun_graph_lower for those.
     graph.hereditary_max_min scores each subset H as a vertex mask of G and
     stops at the first size whose bound floor((|H|-1)/2) cannot beat the
-    best value.  The winning subset is searched again with no floor, and
-    its witness is certified on G restricted to that subset.
+    best value.  Its search cuts a node whose newest included vertex has
+    degree or co-degree among the candidates at most the best value.  The
+    winning subset is searched again with no floor, and its witness is
+    certified on G restricted to that subset.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
@@ -302,7 +304,17 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
         found = _min_fun_over(g, among, floor)
         return None if found is None else len(found[1])
 
-    _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score)
+    rows = g.rows
+
+    def dead(inc: int, cand: int, floor: int) -> int:
+        # The newest member v of inc: its degree and co-degree in G[cand]
+        # cap fun_H(v) for every H it lies in, since N(v) and its complement
+        # are supports.
+        v = inc.bit_length() - 1
+        d = (rows[v] & cand).bit_count()
+        return 0 if floor < d < cand.bit_count() - 1 - floor else 1 << v
+
+    _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
     among = mask_of(best_subset)
     found = _min_fun_over(g, among, -1)
     if found is None:

@@ -6,7 +6,6 @@ intersection) is row-XOR/AND on ints.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -138,6 +137,7 @@ def hereditary_max_min(
     min_size: int,
     bound: Callable[[int], int],
     score: Callable[[int, int], Optional[int]],
+    dead: Callable[[int, int, int], int],
 ) -> tuple[int, tuple[int, ...]]:
     """Maximum of a min-type parameter over the induced subgraphs of ``g``
     with at least ``min_size`` vertices, and the first subset attaining it.
@@ -148,17 +148,62 @@ def hereditary_max_min(
     ``itertools.combinations`` order; only a strict improvement replaces the
     best.  The sweep stops at the first size whose ``bound(size)``, a cap on
     the parameter that never grows as size falls, cannot beat the best.
+
+    Within one size, an include-first depth-first search over vertices
+    0..n-1 reaches the subsets in that same order.  A node is an included
+    mask ``inc`` and a candidate mask ``cand`` ⊇ ``inc``: its subsets H have
+    inc ⊆ H ⊆ cand.  Child j of a node includes its j-th candidate above
+    ``inc`` and drops the candidates below that one.  When a child is made,
+    ``dead(inc, cand, floor)`` names vertices of its ``cand`` that no such H
+    whose parameter beats ``floor`` can contain.  The answer may be
+    incomplete but must be sound.  When it meets ``inc`` the child is cut;
+    otherwise its ``cand`` loses those vertices.  Leaves go to ``score``
+    unasked, since its answer is exact.  The best value only grows, so a
+    subset cut at floor f would have been rejected at its own turn: the
+    surviving subsets are scored in the old order, with the same floors,
+    and the first attaining subset is unchanged.  The search keeps an
+    explicit stack, so its depth is not bound by the interpreter's
+    recursion limit, and it keeps nothing from one call to the next.
     """
     best_value = -1
     best_mask = None
-    bits = [1 << v for v in range(g.n)]
     for size in range(g.n, min_size - 1, -1):
         if bound(size) <= best_value:
             break
-        for mask in map(sum, itertools.combinations(bits, size)):
-            value = score(mask, best_value)
-            if value is not None:
-                best_value, best_mask = value, mask
+        # (inc, |inc|, cand); the vertices of cand - inc all lie above inc.
+        stack = [(0, 0, (1 << g.n) - 1)]
+        while stack:
+            inc, count, cand = stack.pop()
+            room = cand.bit_count() - size
+            if room < 0:
+                continue
+            if room == 0:
+                value = score(cand, best_value)
+                if value is not None:
+                    best_value, best_mask = value, cand
+                continue
+            # Past child j = room too few candidates would be left.
+            free = cand ^ inc
+            if count + 1 == size:
+                # The children are leaves, scored in order.
+                for _ in range(room + 1):
+                    low = free & -free
+                    free ^= low
+                    value = score(inc | low, best_value)
+                    if value is not None:
+                        best_value, best_mask = value, inc | low
+                continue
+            children = []
+            for _ in range(room + 1):
+                low = free & -free
+                child, child_cand = inc | low, inc | free
+                free ^= low
+                cut = dead(child, child_cand, best_value)
+                if not cut & child:
+                    children.append((child, count + 1, child_cand & ~cut))
+            # Reversed, so that the lowest child pops first.
+            children.reverse()
+            stack += children
     if best_mask is None:
         raise RuntimeError("subset sweep found no subgraph")
     return best_value, tuple(_bits(best_mask))

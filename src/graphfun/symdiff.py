@@ -40,8 +40,10 @@ def sd_graph(g: Graph, exact_limit: int = 14) -> SdResult:
 
     graph.hereditary_max_min scores each subset H as a vertex mask of G and
     stops at the first size whose bound |H|-2 (sd(x,y) excludes x and y)
-    cannot beat the best value; only the winning subgraph is built, to
-    report its pair.
+    cannot beat the best value.  Its search drops from the candidates each
+    w whose sd with the newest included vertex, counted within the
+    candidates, is at most the best value.  Only the winning subgraph is
+    built, to report its pair.
     """
     if g.n < 2:
         raise ValueError("sd_graph needs at least 2 vertices")
@@ -72,7 +74,22 @@ def sd_graph(g: Graph, exact_limit: int = 14) -> SdResult:
                     best = value
         return best
 
-    best_value, best_subset = hereditary_max_min(g, 2, lambda size: size - 2, score)
+    def dead(inc: int, cand: int, floor: int) -> int:
+        # The newest member v of inc against each other w of cand: an H
+        # holding both has sd_H(v, w) <= |(N(v) xor N(w)) & cand - {v, w}|.
+        v = inc.bit_length() - 1
+        bv, rv = 1 << v, rows[v]
+        out = 0
+        others = cand ^ bv
+        rest = others
+        while rest:
+            bw = rest & -rest
+            rest ^= bw
+            if ((rv ^ rows[bw.bit_length() - 1]) & (others ^ bw)).bit_count() <= floor:
+                out |= bw
+        return out
+
+    best_value, best_subset = hereditary_max_min(g, 2, lambda size: size - 2, score, dead)
     sub, mapping = induced_subgraph(g, best_subset)
     inner = min_sd(sub)
     pair = (mapping[inner.pair[0]], mapping[inner.pair[1]])

@@ -1,17 +1,20 @@
 """The hereditary sweeps behind fun_graph and sd_graph: exact rejection of
-subsets by their scorers, and attaining subgraphs pinned across solver
-changes."""
+subsets by their scorers, sound pruning rules in the subset search, and
+attaining subgraphs and work counts pinned across solver changes."""
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfun import functionality, symdiff
 from graphfun.families import IntervalSet, random_graph, unit_interval_graph
 from graphfun.functionality import _min_fun_over, fun_graph, is_function_of
-from graphfun.graph import induced_subgraph, mask_of
-from graphfun.naive import naive_fun_vertex
+from graphfun.graph import Graph, induced_subgraph, mask_of
+from graphfun.naive import naive_fun_vertex, naive_min_fun, naive_min_sd
 from graphfun.symdiff import sd_graph
 
 
@@ -58,6 +61,9 @@ GRAPHS = {
     "unit-interval-12": _unit_interval_12,
     "G(14,0.5)": lambda: random_graph(14, 0.5, 5),
     "G(16,0.5)": lambda: random_graph(16, 0.5, 6),
+    "G(18,0.5)": lambda: random_graph(18, 0.5, 1),
+    "G(20,0.5)#6": lambda: random_graph(20, 0.5, 6),
+    "G(20,0.5)#7": lambda: random_graph(20, 0.5, 7),
 }
 
 # Recorded before the sweeps' scorers gained their cheap rejections; a
@@ -89,6 +95,17 @@ GOLDEN_SWEEPS = {
         (3, 0, [2, 4, 6], [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15]),
         (3, (0, 6), list(range(15))),
     ),
+    # Recorded before the depth-first subset search; fun_graph on G(20, 1/2)
+    # is left out because its hitting-set searches take seconds.
+    "G(18,0.5)": (
+        (3, 1, [2, 3, 9], [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
+        (3, (1, 14), [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
+    ),
+    "G(20,0.5)#6": (
+        None,
+        (5, (0, 3), [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]),
+    ),
+    "G(20,0.5)#7": (None, (4, (2, 11), list(range(20)))),
 }
 
 
@@ -96,7 +113,159 @@ GOLDEN_SWEEPS = {
 def test_sweeps_are_reproduced(name):
     g = GRAPHS[name]()
     golden_fun, golden_sd = GOLDEN_SWEEPS[name]
-    f = fun_graph(g, exact_limit=16)
-    assert (f.value, f.witness_vertex, sorted(f.witness_set), sorted(f.subgraph)) == golden_fun
-    s = sd_graph(g, exact_limit=16)
+    if golden_fun is not None:
+        f = fun_graph(g, exact_limit=g.n)
+        assert (f.value, f.witness_vertex, sorted(f.witness_set), sorted(f.subgraph)) == golden_fun
+    s = sd_graph(g, exact_limit=g.n)
     assert (s.value, s.pair, sorted(s.subgraph)) == golden_sd
+
+
+def _dead_rule(module, solver, g):
+    """The ``dead`` callable that ``solver`` hands graph.hereditary_max_min
+    for ``g``, caught by wrapping the sweep while ``solver`` runs."""
+    caught = []
+    sweep = module.hereditary_max_min
+
+    def catch(g, min_size, bound, score, dead):
+        caught.append(dead)
+        return sweep(g, min_size, bound, score, dead)
+
+    module.hereditary_max_min = catch
+    try:
+        solver(g, exact_limit=g.n)
+    finally:
+        module.hereditary_max_min = sweep
+    return caught[0]
+
+
+RULES = {
+    "fun": (functionality, fun_graph, naive_min_fun, 1),
+    "sd": (symdiff, sd_graph, naive_min_sd, 2),
+}
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=7),
+    p=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pick_cand=st.integers(min_value=0, max_value=2**7 - 1),
+    pick_inc=st.integers(min_value=1, max_value=2**7 - 1),
+    floor=st.integers(min_value=-1, max_value=3),
+)
+def test_dead_rules_are_sound(rule, n, p, seed, pick_cand, pick_inc, floor):
+    """Every H with inc ⊆ H ⊆ cand that holds a dropped vertex has naive
+    min at most ``floor``; when the drop meets inc, that is every such H."""
+    module, solver, naive_min, min_size = RULES[rule]
+    g = random_graph(n, p, seed)
+    inc = pick_inc & ((1 << n) - 1) or 1
+    cand = inc | (pick_cand & ((1 << n) - 1))
+    dead = _dead_rule(module, solver, g)
+    dropped = dead(inc, cand, floor)
+    assert dropped & ~cand == 0
+    free = [v for v in range(n) if (cand & ~inc) >> v & 1]
+    for k in range(len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            h = inc | mask_of(extra)
+            if h.bit_count() < min_size or not dropped & h:
+                continue
+            sub, _ = induced_subgraph(g, [v for v in range(n) if h >> v & 1])
+            assert naive_min(sub) <= floor
+
+
+def _plain_sweep(n, min_size, score):
+    """Every subset by decreasing size, then in itertools.combinations
+    order, keeping strict improvements only."""
+    best_value, best = -1, None
+    for size in range(n, min_size - 1, -1):
+        for subset in itertools.combinations(range(n), size):
+            value = score(mask_of(subset), best_value)
+            if value is not None:
+                best_value, best = value, subset
+    return best_value, frozenset(best)
+
+
+def _pairwise_sd(g, among, floor):
+    value = min(((g.rows[x] ^ g.rows[y]) & among & ~(1 << x) & ~(1 << y)).bit_count()
+                for x, y in itertools.combinations(
+                    [v for v in range(g.n) if among >> v & 1], 2))
+    return None if value <= floor else value
+
+
+def _fun_score(g, among, floor):
+    found = _min_fun_over(g, among, floor)
+    return None if found is None else len(found[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweeps_match_plain_combinations_sweep(n, p, seed):
+    """The pruned search reports the value and subset of a sweep that
+    scores every subset."""
+    g = random_graph(n, p, seed)
+    f = fun_graph(g)
+    assert (f.value, f.subgraph) == _plain_sweep(n, 1, lambda m, fl: _fun_score(g, m, fl))
+    s = sd_graph(g)
+    assert (s.value, s.subgraph) == _plain_sweep(n, 2, lambda m, fl: _pairwise_sd(g, m, fl))
+
+
+def test_deep_search_ignores_the_recursion_limit():
+    """K_1200 makes each size's search 1200 vertices deep."""
+    n = 1200
+    full = (1 << n) - 1
+    complete = Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    start = time.perf_counter()
+    assert fun_graph(complete, exact_limit=n).value == 0
+    assert time.perf_counter() - start < 5
+
+
+# _fun_search calls of fun_graph and subsets scored by fun_graph and
+# sd_graph, counted on the parent of the depth-first subset search.  The
+# searches must stay the same; the scored subsets must fall.
+PARENT_WORK = {
+    "G(12,0.2)": (28, 3302, 3797),
+    "G(12,0.5)": (40, 1586, 3302),
+    "G(12,0.8)": (83, 1586, 3302),
+    "unit-interval-12": (431, 3302, 3797),
+}
+
+
+def _work(solver, g, monkeypatch):
+    """(_fun_search calls, subsets scored) of ``solver`` on ``g``."""
+    counts = {"search": 0, "score": 0}
+    search = functionality._fun_search
+
+    def counted_search(*args, **kwargs):
+        counts["search"] += 1
+        return search(*args, **kwargs)
+
+    def counted_sweep(sweep):
+        def wrapped(g, min_size, bound, score, dead):
+            def counted_score(mask, floor):
+                counts["score"] += 1
+                return score(mask, floor)
+            return sweep(g, min_size, bound, counted_score, dead)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(functionality, "_fun_search", counted_search)
+        for module in (functionality, symdiff):
+            m.setattr(module, "hereditary_max_min", counted_sweep(module.hereditary_max_min))
+        solver(g)
+    return counts["search"], counts["score"]
+
+
+@pytest.mark.parametrize("name", list(PARENT_WORK))
+def test_search_work_is_kept_and_scoring_falls(name, monkeypatch):
+    g = GRAPHS[name]()
+    searches, fun_scored, sd_scored = PARENT_WORK[name]
+    fun_searches, fun_now = _work(fun_graph, g, monkeypatch)
+    sd_searches, sd_now = _work(sd_graph, g, monkeypatch)
+    assert (fun_searches, sd_searches) == (searches, 0)
+    assert fun_now < fun_scored
+    assert sd_now < sd_scored
