@@ -133,11 +133,14 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
     fail-first: with the masks stably sorted by popcount, each node branches
     on the candidates of its first unresolved mask, in increasing index
     order, and passes each child only the masks the child leaves unresolved.
-    After the child for b returns, later siblings ban b.  A node is cut when
-    some unresolved mask has no unbanned candidate, or when a greedy packing
-    of disjoint unbanned candidate sets reaches the best size.  Only subtrees
-    that cannot strictly improve are cut, so the support returned is the
-    first minimum in branching order.
+    After the child for b returns, later siblings ban b.  A child is cut
+    when some mask it leaves unresolved has no unbanned candidate, or when
+    a greedy packing of disjoint unbanned candidate sets reaches the best
+    size.  The parent builds each child's list and applies that bound in
+    one pass over its own list, so a cut child is never entered, and a
+    child that leaves nothing unresolved is recorded on the spot.  Only
+    subtrees that cannot strictly improve are cut, so the support returned
+    is the first minimum in branching order.
     """
     best_size = cap
     best_mask: Optional[int] = None
@@ -146,32 +149,49 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
         best_mask = init
 
     def rec(chosen: int, count: int, unresolved: list[int], banned: int) -> None:
+        # the node's own bound has passed and ``unresolved`` is not empty
         nonlocal best_size, best_mask
-        if not unresolved:
-            if count < best_size:
-                best_size = count
-                best_mask = chosen
-            return
-        allowed = ~banned
-        used = 0
-        need = count
-        for m in unresolved:
-            free = m & allowed
-            if not free:
-                return
-            if not free & used:
-                used |= free
-                need += 1
-                if need >= best_size:
-                    return
-        for b in _bits(unresolved[0] & allowed):
-            bit = 1 << b
-            rec(chosen | bit, count + 1, [m for m in unresolved if not m & bit], banned)
+        size = count + 1
+        cands = unresolved[0] & ~banned
+        while cands and size < best_size:
+            bit = cands & -cands
+            cands ^= bit
+            allowed = ~banned
+            used = 0
+            need = size
+            rest: list[int] = []
+            for m in unresolved:
+                if m & bit:
+                    continue
+                free = m & allowed
+                if not free:
+                    break
+                if not free & used:
+                    used |= free
+                    need += 1
+                    if need >= best_size:
+                        break
+                rest.append(m)
+            else:
+                if rest:
+                    rec(chosen | bit, size, rest, banned)
+                else:
+                    best_size = size
+                    best_mask = chosen | bit
             banned |= bit
 
-    rec(0, 0, sorted(masks, key=int.bit_count), 0)
-    if best_mask is None or best_size >= cap:
-        return None
+    pending = sorted(masks, key=int.bit_count)
+    used = need = 0
+    for m in pending:
+        if not m & used:
+            used |= m
+            need += 1
+            if need >= best_size:
+                return best_mask
+    if pending:
+        rec(0, 0, pending, 0)
+    elif best_size > 0:
+        best_mask = 0
     return best_mask
 
 

@@ -136,6 +136,11 @@ def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD, *,
     ``intersection_graph(h)`` pair, built when None) before returning."""
     if thick_pairs(h, threshold):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
+    return _witness_no_thick(h, s, host)
+
+
+def _witness_no_thick(h: Hypergraph3, s, host: Optional[Host]) -> tuple[int, ...]:
+    """witness_no_thick for a hypergraph already known to have no thick pair."""
     edges = h.edges
     s_key = tuple(sorted(s))
     s_idx = edges.index(s_key)
@@ -147,7 +152,7 @@ def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD, *,
     if len(f) > TWO_VERTEX_OVERLAP_BOUND:
         warnings.warn(
             f"{len(f)} hyperedges meet s in 2 vertices, above the nominal "
-            f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=2
+            f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=3
         )
     rest = [i for i in range(len(edges)) if i != s_idx and i not in f]
 
@@ -242,6 +247,11 @@ def find_thick_structure(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> Th
     thick = thick_pairs(h, threshold)
     if not thick:
         raise ValueError("hypergraph has no thick pair")
+    return _find_thick_structure(h, thick)
+
+
+def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStructure:
+    """find_thick_structure given h's non-empty ``thick_pairs``."""
     thick_set = {frozenset((p.u, p.v)) for p in thick}
     edges = h.edges
     edge_set = set(edges)
@@ -326,7 +336,13 @@ def witness_thick(
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
     pair.  Verified by replay on ``host`` (the ``intersection_graph(h)``
     pair, built when None) before returning."""
-    st = find_thick_structure(h, threshold)
+    return _witness_thick(h, find_thick_structure(h, threshold), host)
+
+
+def _witness_thick(
+    h: Hypergraph3, st: ThickStructure, host: Optional[Host]
+) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+    """witness_thick around the thick structure ``st`` already found in h."""
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
     s_key = tuple(sorted(st.s))
@@ -370,12 +386,13 @@ def hyper3_fun_bound(h: Hypergraph3, threshold: int = THICK_THRESHOLD, *,
     if not h.edges:
         raise ValueError("need at least one hyperedge")
     host = _prepared(h, host)
-    if thick_pairs(h, threshold):
-        s, f = witness_thick(h, threshold, host=host)
+    thick = thick_pairs(h, threshold)
+    if thick:
+        s, f = _witness_thick(h, _find_thick_structure(h, thick), host)
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = witness_no_thick(h, s, threshold, host=host)
+    f = _witness_no_thick(h, s, host)
     return Hyper3Report(0, s, f, len(f), False)
 
 

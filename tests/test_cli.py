@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphfun
 from graphfun.cli import main
 from graphfun.families import random_graph
 from graphfun.graph import write_graph
@@ -200,3 +205,20 @@ def test_recheck_builds_the_host_once(tmp_path, capsys, monkeypatch, kind):
     code, report = run(capsys, argv + ["--recheck"])
     assert code == 0 and report["result"]["recheck"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["fun", "min"], ["fun", "vertex", "--vertex", "0"]],
+                         ids=["min", "vertex"])
+def test_recheck_holds_under_python_O(tmp_path, capsys, argv):
+    # -O strips assert statements, so the checks the CLI relies on must not
+    # be asserts: the rechecked result must come out the same
+    path = tmp_path / "g.txt"
+    write_graph(random_graph(24, 0.5, 11), path)
+    command = argv[:2] + [str(path)] + argv[2:] + ["--recheck"]
+    code, report = run(capsys, command)
+    assert code == 0 and report["result"]["recheck"] is True
+    env = dict(os.environ, PYTHONPATH=str(Path(graphfun.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-m", "graphfun.cli"] + command,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == report["result"]

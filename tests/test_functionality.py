@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphfun.families import random_graph
+from graphfun.families import permutation_graph, random_graph, random_permutation
 from graphfun.functionality import (
     _min_hitting_set,
     fun_graph,
@@ -12,7 +12,7 @@ from graphfun.functionality import (
     is_function_of,
     min_fun,
 )
-from graphfun.graph import Graph, induced_subgraph, mask_of
+from graphfun.graph import Graph, _bits, induced_subgraph, mask_of
 from graphfun.naive import naive_fun_graph, naive_fun_vertex, naive_min_fun
 from graphfun.symdiff import sd_pair
 
@@ -250,6 +250,63 @@ def test_min_hitting_set_matches_brute_force(masks, cap, guess):
         assert got is None
 
 
+
+def _two_pass_min_hitting_set(masks, cap, init):
+    """Reference search with the same branching, bans and bounds, one node
+    at a time: each child's list is built in full, then the child applies
+    its own bound on entry."""
+    best_size = cap
+    best_mask = None
+    if init is not None and init.bit_count() < best_size:
+        best_size = init.bit_count()
+        best_mask = init
+
+    def rec(chosen, count, unresolved, banned):
+        nonlocal best_size, best_mask
+        if not unresolved:
+            if count < best_size:
+                best_size = count
+                best_mask = chosen
+            return
+        allowed = ~banned
+        used = 0
+        need = count
+        for m in unresolved:
+            free = m & allowed
+            if not free:
+                return
+            if not free & used:
+                used |= free
+                need += 1
+                if need >= best_size:
+                    return
+        for b in _bits(unresolved[0] & allowed):
+            bit = 1 << b
+            rec(chosen | bit, count + 1, [m for m in unresolved if not m & bit], banned)
+            banned |= bit
+
+    rec(0, 0, sorted(masks, key=int.bit_count), 0)
+    return best_mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=4095), max_size=16),
+    st.integers(min_value=0, max_value=13),
+    st.integers(min_value=0, max_value=4095),
+)
+@example([], 0, 0)
+@example([], 3, 0)
+@example([0b0011, 0b1100], 0, 0b1111)
+@example([0b0011, 0b1100], 9, 0b1111)  # init strictly beaten: 0b0101 wins
+@example([0b0011, 0b1100], 9, 0b1010)  # init ties the minimum and is kept
+def test_min_hitting_set_returns_the_reference_mask(masks, cap, guess):
+    # the same mask, not only the same size: supports must not change
+    init = guess if all(m & guess for m in masks) else 4095
+    for seed in (None, init):
+        assert _min_hitting_set(masks, cap, seed) == _two_pass_min_hitting_set(masks, cap, seed)
+
+
 # Pinned supports: a faster search may prune more but must report these.
 # (n, seed) of G(n, 1/2) -> fun_vertex supports of vertices 0, n//2 and
 # n-1, then min_fun's (witness_vertex, witness_set).
@@ -268,5 +325,23 @@ def test_supports_are_reproduced(n, seed):
     g = random_graph(n, 0.5, seed)
     vertex_supports, (wv, ws) = GOLDEN_SUPPORTS[(n, seed)]
     assert [sorted(fun_vertex(g, y).witness_set) for y in (0, n // 2, n - 1)] == vertex_supports
+    res = min_fun(g)
+    assert (res.witness_vertex, sorted(res.witness_set)) == (wv, ws)
+
+
+# s -> fun_vertex supports of vertices 0 and 10 of the permutation graph of
+# random_permutation(20, s), then min_fun's (witness_vertex, witness_set).
+GOLDEN_PERMUTATION_SUPPORTS = {
+    1: ([[9, 19], [2, 6, 9]], (13, [14])),
+    2: ([[1, 2, 3], [5, 12]], (1, [0])),
+    3: ([[1], [9, 19]], (0, [1])),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PERMUTATION_SUPPORTS))
+def test_permutation_graph_supports_are_reproduced(seed):
+    g = permutation_graph(random_permutation(20, seed))
+    vertex_supports, (wv, ws) = GOLDEN_PERMUTATION_SUPPORTS[seed]
+    assert [sorted(fun_vertex(g, y).witness_set) for y in (0, 10)] == vertex_supports
     res = min_fun(g)
     assert (res.witness_vertex, sorted(res.witness_set)) == (wv, ws)
