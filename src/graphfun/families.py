@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -312,6 +312,7 @@ def parse_hypergraph(text: str) -> Hypergraph3:
     if not data:
         raise ValueError("missing header line 'n m'")
     n, m = (int(tok) for tok in data[0].split())
+    check_vertex_count(n)
     if len(data) - 1 != m:
         raise ValueError(f"expected {m} hyperedge lines, got {len(data) - 1}")
     edges = [tuple(int(tok) for tok in ln.split()) for ln in data[1:]]

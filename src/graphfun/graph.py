@@ -18,13 +18,19 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Validation in O(n + m) bigint operations.
+        """Validation: loops and bits at or above ``n``, then symmetry.
 
-        Symmetry: ``column[v]`` collects the u < v whose rows have bit v,
-        from the bits above the diagonal of the rows already seen, and must
-        equal the part of row v below the diagonal.  Rows go in order, so
-        the pair named is the first a pairwise scan of the lower triangle
-        would find.
+        Symmetry takes one of two paths.  Let W be the power of two at
+        least max(n, 8).  When W² ≤ 16·(n + Σ row.bit_length()), the rows
+        are packed into one int, row v at bit v·W, and the W×W bit matrix
+        is transposed with log₂W delta swaps (``_transpose``); the rows are
+        symmetric iff the transpose equals the packing.  That is O(log W)
+        bigint operations on W² bits, which the rule keeps within 16 times
+        the bits the rows hold.  Otherwise, as for a sparse graph on many
+        vertices, the packing would be too large, and ``_walk_asymmetry``
+        checks symmetry in O(n + m) bigint operations and O(n + m) memory.
+        Either path names the pair a pairwise scan of the lower triangle
+        would find first.
         """
         n, rows = self.n, self.rows
         if n < 0 or len(rows) != n:
@@ -34,33 +40,24 @@ class Graph:
                 raise ValueError(f"loop at vertex {v}")
             if row >> n:
                 raise ValueError(f"row {v} references vertices >= n")
-        column = [0] * n
-        for v, row in enumerate(rows):
-            upper = row >> v
-            diff = (row ^ (upper << v)) ^ column[v]
-            if diff:
-                u = (diff & -diff).bit_length() - 1
-                raise ValueError(f"adjacency not symmetric at ({u},{v})")
-            if upper:
-                bit = 1 << v
-                while upper:
-                    low = upper & -upper
-                    column[v + low.bit_length() - 1] |= bit
-                    upper ^= low
+        w = max(8, 1 << (n - 1).bit_length())
+        if w * w <= 16 * (n + sum(map(int.bit_length, rows))):
+            pair = _transpose_asymmetry(rows, w)
+        else:
+            pair = _walk_asymmetry(rows)
+        if pair is not None:
+            raise ValueError(f"adjacency not symmetric at ({pair[0]},{pair[1]})")
 
     @staticmethod
     def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -93,6 +90,90 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
+
+
+def _walk_asymmetry(rows: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The first (u, v), u < v, of the lower triangle with rows[v] bit u
+    unequal to rows[u] bit v, or None, in O(n + m) bigint operations.
+
+    ``column[v]`` collects the u < v whose rows have bit v, from the bits
+    above the diagonal of the rows already seen, and must equal the part of
+    row v below the diagonal.  Rows go in order, so the pair named is the
+    first a pairwise scan of the lower triangle would find.
+    """
+    column = [0] * len(rows)
+    for v, row in enumerate(rows):
+        upper = row >> v
+        diff = (row ^ (upper << v)) ^ column[v]
+        if diff:
+            return (diff & -diff).bit_length() - 1, v
+        if upper:
+            bit = 1 << v
+            while upper:
+                low = upper & -upper
+                column[v + low.bit_length() - 1] |= bit
+                upper ^= low
+    return None
+
+
+def _swap_mask(w: int, j: int) -> int:
+    """The bits r·w + c with r & j == 0 and c & j != 0: the lower halves of
+    the pairs that swap at block size j of a w×w transpose."""
+    if j < 8:
+        row = bytes([sum(1 << c for c in range(8) if c & j)]) * (w // 8)
+    else:
+        row = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
+    return int.from_bytes((row * j + bytes(w // 8) * j) * (w // (2 * j)), "little")
+
+
+# w -> the swap masks of a w×w transpose for j = w/2, w/4, ..., 1.  Wider
+# matrices build them one at a time per call, so that the cache stays
+# within a few megabytes and a call holds one mask at a time.
+_SWAP_MASKS: dict[int, tuple[int, ...]] = {}
+_CACHED_WIDTH = 1 << 11
+
+
+def _pack(rows: Iterable[int], w: int) -> int:
+    """Row v at bit v·w; each row must lie below bit w."""
+    return int.from_bytes(b"".join(row.to_bytes(w // 8, "little") for row in rows), "little")
+
+
+def _transpose(x: int, w: int) -> int:
+    """Transpose of the w×w bit matrix ``x`` (bit r·w + c is entry (r, c)).
+
+    The recursive block transpose of Hacker's Delight §7-3: at block size j
+    the upper-right and lower-left j×j quarters of every 2j×2j block swap,
+    entry (r, c) with (r + j, c - j), a shift of j·(w - 1).
+    """
+    masks = _SWAP_MASKS.get(w)
+    if masks is None:
+        masks = (_swap_mask(w, w >> k) for k in range(1, w.bit_length()))
+        if w <= _CACHED_WIDTH:
+            masks = _SWAP_MASKS[w] = tuple(masks)
+    j = w >> 1
+    for mask in masks:
+        shift = j * (w - 1)
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+        j >>= 1
+    return x
+
+
+def _transpose_asymmetry(rows: tuple[int, ...], w: int) -> Optional[tuple[int, int]]:
+    """``_walk_asymmetry``'s answer from one packed transpose.  The rows
+    are non-negative and below bit len(rows), and len(rows) <= w."""
+    packed = _pack(rows, w)
+    diff = packed ^ _transpose(packed, w)
+    if not diff:
+        return None
+    # diff is symmetric with an empty diagonal, so some row v holds a pair
+    # (u, v) below the diagonal; the first such row is the scan's.
+    data = diff.to_bytes(w * w // 8, "little")
+    step = w // 8
+    for v in range(len(rows)):
+        low = int.from_bytes(data[v * step:(v + 1) * step], "little") & ((1 << v) - 1)
+        if low:
+            return (low & -low).bit_length() - 1, v
 
 
 def _bits(mask: int):
@@ -235,6 +316,19 @@ class GraphFormatError(ValueError):
     pass
 
 
+# The largest vertex count a parser accepts.  A header is read before any
+# row exists, so without a limit a huge n would first allocate n rows and
+# end in an OverflowError or a MemoryError.  2**22 holds the 2**20 vertices
+# of the largest generated hypercube.
+MAX_VERTICES = 1 << 22
+
+
+def check_vertex_count(n: int) -> None:
+    """A GraphFormatError when a header's ``n`` is above ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+
+
 def parse_graph(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -247,6 +341,7 @@ def parse_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"bad header line: {data[0]!r}") from exc
+    check_vertex_count(n)
     if len(data) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(data) - 1}")
     edges = []

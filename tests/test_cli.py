@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,23 @@ def test_parse_error_regressions(tmp_path, capsys):
     deep.write_text("u(" * 5000)  # used to raise RecursionError
     assert main(["kexpr", "eval", str(deep)]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+    # A header n too large to allocate used to end in an OverflowError or,
+    # under a memory limit, a MemoryError.  Each case runs in a child process
+    # with a 1.5 GB address-space limit, so a regression cannot take the
+    # memory of the test run.
+    limit = 1_500_000 * 1024
+    env = dict(os.environ, PYTHONPATH=str(Path(graphfun.__file__).resolve().parent.parent))
+    for command, text in ((["fun", "min"], "99999999999999999999 0\n"),
+                          (["fun", "min"], "10000000000 0\n"),
+                          (["hyper3", "bound"], "99999999999999999999 1\n0 1 2\n")):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphfun.cli"] + command + [str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3, proc.stderr
+        assert "above the limit of" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["line-graph", "permutation", "thick", "no-thick"])

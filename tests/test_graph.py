@@ -1,10 +1,20 @@
+import os
+import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import graphfun
+from graphfun import graph
+from graphfun.families import parse_hypergraph
 from graphfun.graph import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     format_graph,
@@ -106,6 +116,33 @@ def test_huge_header_parses_in_linear_time():
     assert g.n == 400000 and not any(g.rows)
 
 
+def test_far_edge_on_many_vertices_parses_within_a_memory_limit():
+    """One edge across 400,000 vertices must take the O(n + m) walk: a
+    transpose would pack a 2**19 x 2**19 bit matrix, 32 GB.  The parse runs
+    in a child process under a 1 GB address-space limit, so a wrong size
+    rule fails the test instead of exhausting the machine."""
+    code = ("import time; from graphfun.graph import parse_graph; "
+            "start = time.perf_counter(); g = parse_graph('400000 1\\n0 399999'); "
+            "print(time.perf_counter() - start, g.has_edge(399999, 0), g.num_edges())")
+    limit = 1 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(graphfun.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    seconds, edge, edges = proc.stdout.split()
+    assert float(seconds) < 5.0 and edge == "True" and edges == "1"
+
+
+def test_parsers_reject_vertex_counts_above_the_limit():
+    assert MAX_VERTICES >= 2**20  # the output of gen hypercube --n 20 parses
+    for text, parse in ((f"{MAX_VERTICES + 1} 0", parse_graph),
+                        (f"{MAX_VERTICES + 1} 1\n0 1 2", parse_hypergraph),
+                        ("99999999999999999999 0", parse_graph)):
+        with pytest.raises(GraphFormatError, match=f"above the limit of {MAX_VERTICES}"):
+            parse(text)
+
+
 def _pairwise_validation_error(n, rows):
     """Graph's checks as a pairwise loop over the lower triangle: the error
     message, or None when the rows are accepted."""
@@ -124,31 +161,113 @@ def _pairwise_validation_error(n, rows):
     return None
 
 
+def _width(n):
+    """The packing width W of Graph validation: a power of two >= max(n, 8)."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _transposes(n, rows):
+    """Graph's size rule: symmetry is checked by a transpose of the packed
+    rows iff W**2 <= 16 * (n + the rows' total bit length)."""
+    return _width(n) ** 2 <= 16 * (n + sum(row.bit_length() for row in rows))
+
+
+def _rule_examples():
+    """For each W from 8 to 128, symmetric rows on n = W/2 + 1 vertices (3
+    for W = 8), one edge below the size rule and on it; each also with one
+    bit under a row's top bit flipped, which keeps the bit lengths and
+    makes the rows asymmetric."""
+    cases = []
+    for w in (8, 16, 32, 64, 128):
+        n = 3 if w == 8 else w // 2 + 1
+        rows = [0] * n
+        below = tuple(rows)
+        for v in range(n):
+            for u in range(v):
+                if _transposes(n, rows):
+                    break
+                below = tuple(rows)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        for case in (below, tuple(rows)):
+            cases.append((n, case))
+            k = max(range(n), key=lambda v: case[v].bit_length())
+            if case[k].bit_length() > 2:
+                flipped = list(case)
+                flipped[k] ^= 1 << (1 if k == 0 else 0)
+                cases.append((n, tuple(flipped)))
+    # At W = 8 no bit can be flipped that way; a half edge transposes too.
+    cases.append((3, (0b100, 0, 0)))
+    return cases
+
+
+RULE_EXAMPLES = _rule_examples()
+
+
+def test_rule_examples_sit_on_both_sides_of_the_rule(monkeypatch):
+    transposed = []
+    real = graph._transpose_asymmetry
+    monkeypatch.setattr(graph, "_transpose_asymmetry",
+                        lambda rows, w: transposed.append(w) or real(rows, w))
+    seen = set()
+    for n, rows in RULE_EXAMPLES:
+        before = len(transposed)
+        try:
+            Graph(n, rows)
+            symmetric = True
+        except ValueError as exc:
+            assert str(exc).startswith("adjacency not symmetric")
+            symmetric = False
+        side = len(transposed) > before
+        assert side == _transposes(n, rows)
+        seen.add((_width(n), side, symmetric))
+    # (width, transposed, symmetric); at W = 8 no asymmetric rows are walked
+    assert seen == {(w, side, symmetric) for w in (8, 16, 32, 64, 128)
+                    for side in (False, True) for symmetric in (False, True)} - {(8, False, False)}
+
+
 @st.composite
 def _row_tuples(draw):
-    """Symmetric rows with a few single-bit flips, which make loops,
-    out-of-range bits and asymmetric pairs, or arbitrary small ints, some
-    with one row too many or too few."""
-    n = draw(st.integers(min_value=0, max_value=9))
-    if draw(st.booleans()):
+    """Symmetric rows, dense or sparse, with far-index edges and a few
+    single-bit flips, which make loops, out-of-range bits and asymmetric
+    pairs; or arbitrary ints, some with one row too many or too few.  With
+    n up to 70 the transpose runs at every W from 8 to 128, and sparse rows
+    on many vertices take the walk."""
+    n = draw(st.integers(min_value=0, max_value=70))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
         size = max(draw(st.sampled_from([n, n, n, n - 1, n + 1])), 0)
         return n, tuple(draw(st.lists(
             st.integers(min_value=-2, max_value=(1 << (n + 1)) - 1), min_size=size, max_size=size)))
+    p = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
+    for v in range(n):
+        for u in range(v):
+            if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     if n:
+        far = st.tuples(st.integers(min_value=0, max_value=min(3, n - 1)),
+                        st.integers(min_value=max(0, n - 4), max_value=n - 1))
+        for u, v in draw(st.lists(far, max_size=3)):
+            if u != v:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             v = draw(st.integers(min_value=0, max_value=n - 1))
             rows[v] ^= 1 << draw(st.integers(min_value=0, max_value=n + 1))
     return n, tuple(rows)
 
 
+def _with_examples(test):
+    for case in RULE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(_row_tuples())
+@_with_examples
 def test_validation_matches_pairwise_loop(case):
     n, rows = case
     expected = _pairwise_validation_error(n, rows)
@@ -162,6 +281,19 @@ def test_validation_matches_pairwise_loop(case):
     if message.startswith("adjacency not symmetric"):
         u, v = map(int, message.split("(")[1].rstrip(")").split(","))
         assert (rows[v] >> u & 1) != (rows[u] >> v & 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([8, 16, 32, 64, 128]).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(min_value=0, max_value=(1 << w) - 1), max_size=w))))
+def test_packed_transpose_matches_pairwise_transpose(case):
+    w, rows = case
+    columns = [0] * w
+    for r, row in enumerate(rows):
+        for c in range(w):
+            if row >> c & 1:
+                columns[c] |= 1 << r
+    assert graph._transpose(graph._pack(rows, w), w) == graph._pack(columns, w)
 
 
 RANGE_CASES = {
