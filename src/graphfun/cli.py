@@ -213,48 +213,56 @@ def _cmd_kexpr(args) -> tuple[dict, str, int]:
 
 def _cmd_witness(args) -> tuple[dict, str, int]:
     text = _read_text(args.file)
+    parse = {
+        "unit-interval": families.parse_intervals,
+        "permutation": families.parse_permutation,
+        "line-graph": parse_graph,
+    }[args.kind]
     try:
-        if args.kind == "unit-interval":
-            iv = families.parse_intervals(text)
-            t, value = witnesses.unit_interval_pair(iv)
-            payload = {"t": t, "sd_value": value,
-                       "sum_sd": witnesses.sum_sd_consecutive(iv)}
-            return payload, _digest(text), EXIT_OK
-        if args.kind == "permutation":
-            p = families.parse_permutation(text)
-            host = families.permutation_graph(p)
-            w = witnesses.permutation_witness(p, host=host)
-            payload = _witness_payload(w)
-            payload["terms"] = [list(t) for t in w.terms]
-            payload["support_size"] = len(set(w.support))
-            if args.recheck:
-                payload["recheck"] = w.verify(host)
-                if not payload["recheck"]:
-                    return payload, _digest(text), EXIT_VIOLATION
-            return payload, _digest(text), EXIT_OK
-        # line-graph
-        g = parse_graph(text)
-        if args.edge is None:
-            raise CliError("witness line-graph requires --edge U V", EXIT_USAGE)
-        u, v = args.edge
-        for x in (u, v):
-            if not 0 <= x < g.n:
-                raise CliError(f"vertex {x} out of range", EXIT_USAGE)
-        if not g.has_edge(u, v):
-            raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
-        host = families.line_graph(g)
-        w = witnesses.line_graph_witness(g, (u, v), host=host)
+        instance = parse(text)
+    except ValueError as exc:
+        raise CliError(f"{args.file}: {exc}", EXIT_PARSE) from exc
+    if args.kind == "unit-interval":
+        if instance.n < witnesses.MIN_INTERVALS:
+            raise CliError(f"need at least {witnesses.MIN_INTERVALS} intervals", EXIT_USAGE)
+        host = families.unit_interval_graph(instance)
+        t, value = witnesses.unit_interval_pair(instance, host=host)
+        payload = {"t": t, "sd_value": value,
+                   "sum_sd": witnesses.sum_sd_consecutive(instance, host=host)}
+        return payload, _digest(text), EXIT_OK
+    if args.kind == "permutation":
+        if instance.n < witnesses.MIN_PERMUTATION_POINTS:
+            raise CliError(
+                f"need at least {witnesses.MIN_PERMUTATION_POINTS} points", EXIT_USAGE)
+        host = families.permutation_graph(instance)
+        w = witnesses.permutation_witness(instance, host=host)
         payload = _witness_payload(w)
         payload["terms"] = [list(t) for t in w.terms]
+        payload["support_size"] = len(set(w.support))
         if args.recheck:
-            payload["recheck"] = w.verify(host[0])
+            payload["recheck"] = w.verify(host)
             if not payload["recheck"]:
                 return payload, _digest(text), EXIT_VIOLATION
         return payload, _digest(text), EXIT_OK
-    except (GraphFormatError, ValueError) as exc:
-        if isinstance(exc, CliError):
-            raise
-        raise CliError(f"{args.file}: {exc}", EXIT_PARSE) from exc
+    # line-graph
+    g = instance
+    if args.edge is None:
+        raise CliError("witness line-graph requires --edge U V", EXIT_USAGE)
+    u, v = args.edge
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise CliError(f"vertex {x} out of range", EXIT_USAGE)
+    if not g.has_edge(u, v):
+        raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
+    host = families.line_graph(g)
+    w = witnesses.line_graph_witness(g, (u, v), host=host)
+    payload = _witness_payload(w)
+    payload["terms"] = [list(t) for t in w.terms]
+    if args.recheck:
+        payload["recheck"] = w.verify(host[0])
+        if not payload["recheck"]:
+            return payload, _digest(text), EXIT_VIOLATION
+    return payload, _digest(text), EXIT_OK
 
 
 def _cmd_hyper3(args) -> tuple[dict, str, int]:

@@ -144,15 +144,19 @@ def _incidence_graph(n: int, edges: Sequence[tuple[int, ...]]) -> Graph:
     edges share a vertex.  ``incident[v]`` is the mask of edge indices at
     v, so the row of an edge is the OR of its vertices' masks minus itself."""
     incident = [0] * n
-    for i, e in enumerate(edges):
+    bit = 1
+    for e in edges:
         for v in e:
-            incident[v] |= 1 << i
+            incident[v] |= bit
+        bit <<= 1
     rows = []
-    for i, e in enumerate(edges):
+    bit = 1
+    for e in edges:
         row = 0
         for v in e:
             row |= incident[v]
-        rows.append(row & ~(1 << i))
+        rows.append(row & ~bit)
+        bit <<= 1
     return Graph(len(edges), tuple(rows))
 
 

@@ -83,9 +83,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []
-        for u in range(self.n):
-            rest = self.rows[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in _bits(rest))
+        for u, row in enumerate(self.rows):
+            rest = row >> (u + 1) << (u + 1)
+            while rest:
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return out
 
     def num_edges(self) -> int:

@@ -75,8 +75,9 @@ def verify_unit_interval(seed: int = 0, cases: int = 100, **_ignored) -> tuple[b
     failures = []
     for i in range(cases):
         iv = _dense_intervals(100, rng.randrange(2**32))
-        t, value = witnesses.unit_interval_pair(iv)
-        total = witnesses.sum_sd_consecutive(iv)
+        host = unit_interval_graph(iv)
+        t, value = witnesses.unit_interval_pair(iv, host=host)
+        total = witnesses.sum_sd_consecutive(iv, host=host)
         if value > 1 or total > 2 * iv.n - 3:
             failures.append({"case": i, "pair_sd": value, "sum_sd": total, "t": t})
     exhaustive = min(cases, 50)

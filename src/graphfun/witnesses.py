@@ -55,18 +55,30 @@ class DnfWitness:
 # --- unit interval graphs ---------------------------------------------------
 
 
-def unit_interval_pair(iv: IntervalSet) -> tuple[int, int]:
+MIN_INTERVALS = 2
+
+
+def _interval_host(iv: IntervalSet, host: Graph | None) -> Graph:
+    if iv.n < MIN_INTERVALS:
+        raise ValueError(f"need at least {MIN_INTERVALS} intervals")
+    if host is None:
+        return unit_interval_graph(iv)
+    if host.n != iv.n:
+        raise ValueError(f"host has {host.n} vertices for {iv.n} intervals")
+    return host
+
+
+def unit_interval_pair(iv: IntervalSet, *, host: Graph | None = None) -> tuple[int, int]:
     """Consecutive pair (by left endpoint) with the smallest neighbourhood
     symmetric difference.
 
     Returns (t, value) with t 1-based: the pair is the t-th and (t+1)-th
     intervals in left-endpoint order.  On instances without isolated
     vertices the value is at most 1, so both vertices have functionality
-    at most 2.
+    at most 2.  ``host`` is ``unit_interval_graph(iv)`` when the caller has
+    built it.
     """
-    if iv.n < 2:
-        raise ValueError("need at least 2 intervals")
-    g = unit_interval_graph(iv)
+    g = _interval_host(iv, host)
     best_t, best_val = 1, sd_pair(g, 0, 1)
     for t in range(2, iv.n):
         val = sd_pair(g, t - 1, t)
@@ -75,16 +87,18 @@ def unit_interval_pair(iv: IntervalSet) -> tuple[int, int]:
     return best_t, best_val
 
 
-def sum_sd_consecutive(iv: IntervalSet) -> int:
+def sum_sd_consecutive(iv: IntervalSet, *, host: Graph | None = None) -> int:
     """Sum of |N(v_i) xor N(v_{i+1})| over consecutive pairs; at most
-    2n - 3 when the instance has no isolated vertices."""
-    if iv.n < 2:
-        raise ValueError("need at least 2 intervals")
-    g = unit_interval_graph(iv)
+    2n - 3 when the instance has no isolated vertices.  ``host`` is
+    ``unit_interval_graph(iv)`` when the caller has built it."""
+    g = _interval_host(iv, host)
     return sum(sd_pair(g, i, i + 1) for i in range(iv.n - 1))
 
 
 # --- permutation graphs -----------------------------------------------------
+
+
+MIN_PERMUTATION_POINTS = 13
 
 
 def classify_middles(p: Permutation) -> tuple[frozenset[int], frozenset[int]]:
@@ -108,45 +122,55 @@ def classify_middles(p: Permutation) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(vertical), frozenset(horizontal)
 
 
-def _step1_support(values: tuple[int, ...], pos: dict[int, int], x: int, removed=()):
-    """Support (r, b, l, t) when x is a simultaneous strict middle once the
-    ``removed`` values are deleted, else None.
+def _step1_supports(
+    values: tuple[int, ...], pos: dict[int, int], x: int, removals: list[tuple[int, ...]]
+):
+    """``(removed, (r, b, l, t))`` for each set in ``removals``, in order,
+    whose deletion leaves x a simultaneous strict middle.
 
     ``values`` is the one-line permutation and ``pos`` its
     ``position_of()`` map.  (b, t) are x's nearest kept position-neighbours,
     lower and higher by value; (l, r) its nearest kept value-neighbours,
-    left and right by position."""
+    left and right by position.  A removal set has at most four members, so
+    each nearest kept neighbour is among the five nearest on its side."""
     n = len(values)
     px = pos[x]
-    i = px - 2
-    while i >= 0 and values[i] in removed:
-        i -= 1
-    j = px
-    while j < n and values[j] in removed:
-        j += 1
-    below = x - 1
-    while below in removed:
-        below -= 1
-    above = x + 1
-    while above in removed:
-        above += 1
-    if i < 0 or j == n or below == 0 or above > n:
-        return None
-    b, t = values[i], values[j]
-    if b > t:
-        b, t = t, b
-    if not b < x < t:
-        return None
-    pb, pa = pos[below], pos[above]
-    if pb < pa:
-        r, l = above, below
-        if not pb < px < pa:
-            return None
-    else:
-        r, l = below, above
-        if not pa < px < pb:
-            return None
-    return r, b, l, t
+    left = values[max(px - 6, 0):px - 1][::-1]
+    right = values[px:px + 5]
+    below = range(x - 1, max(x - 6, 0), -1)
+    above = range(x + 1, min(x + 6, n + 1))
+    out = []
+    for removed in removals:
+        for b in left:
+            if b not in removed:
+                break
+        else:
+            continue
+        for t in right:
+            if t not in removed:
+                break
+        else:
+            continue
+        if b > t:
+            b, t = t, b
+        if not b < x < t:
+            continue
+        for lo in below:
+            if lo not in removed:
+                break
+        else:
+            continue
+        for hi in above:
+            if hi not in removed:
+                break
+        else:
+            continue
+        plo, phi = pos[lo], pos[hi]
+        if plo < px < phi:
+            out.append((removed, (hi, b, lo, t)))
+        elif phi < px < plo:
+            out.append((removed, (lo, b, hi, t)))
+    return out
 
 
 def strict_middle_witness(p: Permutation, x: int) -> DnfWitness:
@@ -158,24 +182,30 @@ def strict_middle_witness(p: Permutation, x: int) -> DnfWitness:
     """
     if not 1 <= x <= p.n:
         raise ValueError(f"point {x} out of range for n={p.n}")
-    support = _step1_support(p.values, p.position_of(), x)
-    if support is None:
+    found = _step1_supports(p.values, p.position_of(), x, [()])
+    if not found:
         raise ValueError(f"point {x} is not a simultaneous strict middle")
-    r, b, l, t = support
+    r, b, l, t = found[0][1]
     witness = DnfWitness(x - 1, (r - 1, b - 1, l - 1, t - 1), ((0, 1), (2, 3)))
     if not witness.verify(permutation_graph(p)):
         raise RuntimeError("strict middle witness failed verification")
     return witness
 
 
-def _companions(windows) -> dict[int, list[tuple[int, int]]]:
-    """For each of the three middles of every sorted 5-point window, its
-    two companion middles in window order; windows go in the given order."""
-    out: dict[int, list[tuple[int, int]]] = {}
+def _companions(windows, n: int) -> list[list[tuple[int, int]]]:
+    """For each point 1..n, the two companion middles of each sorted 5-point
+    window that has it among its three middles, in window order.  A window
+    whose middles repeat an earlier window's adds nothing: it would only
+    repeat candidates, later in the same size bucket."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    seen = set()
     for _, m1, m2, m3, _ in windows:
-        out.setdefault(m1, []).append((m2, m3))
-        out.setdefault(m2, []).append((m1, m3))
-        out.setdefault(m3, []).append((m1, m2))
+        if (m1, m2, m3) in seen:
+            continue
+        seen.add((m1, m2, m3))
+        out[m1].append((m2, m3))
+        out[m2].append((m1, m3))
+        out[m3].append((m1, m2))
     return out
 
 
@@ -191,13 +221,20 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
     A weak vertical middle is among the middle three by value of some 5
     position-consecutive points; a weak horizontal middle is among the
     middle three by position of some 5 value-consecutive points.  Each
-    window is sorted once.  ``host`` is ``permutation_graph(p)`` when the
-    caller has built it; the witness is verified on it.
+    window is sorted once.  The candidates are tried by support size, then
+    by x, then in window order (position windows outer, value windows
+    inner), and the first that replays is returned.  One pass over the
+    points puts each candidate in the bucket of its size, counted from the
+    coincidences among its roles, so no candidate list is sorted and only
+    the candidates replayed get a support tuple.  ``host`` is
+    ``permutation_graph(p)`` when the caller has built it; the witness is
+    verified on it.
     """
-    if p.n <= 12:
+    if p.n < MIN_PERMUTATION_POINTS:
         raise ValueError(
-            "need at least 13 points; any graph on at most 12 vertices has "
-            "functionality at most 6 without this construction"
+            f"need at least {MIN_PERMUTATION_POINTS} points; any graph on at most "
+            f"{MIN_PERMUTATION_POINTS - 1} vertices has functionality at most 6 "
+            "without this construction"
         )
     if host is None:
         host = permutation_graph(p)
@@ -205,24 +242,32 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
         raise ValueError(f"host has {host.n} vertices for {p.n} points")
     values = p.values
     pos = p.position_of()
-    by_position = _companions(sorted(values[a:a + 5]) for a in range(p.n - 4))
+    by_position = _companions((sorted(values[a:a + 5]) for a in range(p.n - 4)), p.n)
     by_value = _companions(
-        sorted(range(v, v + 5), key=pos.__getitem__) for v in range(1, p.n - 3)
+        (sorted(range(v, v + 5), key=pos.__getitem__) for v in range(1, p.n - 3)), p.n
     )
-    candidates = []
+    buckets = [[] for _ in range(5)]  # support sizes 4..8
     for x in range(1, p.n + 1):
-        val_pairs = by_value.get(x, ())
-        for m3, m4 in by_position.get(x, ()):
-            for m1, m2 in val_pairs:
-                support = _step1_support(values, pos, x, (m1, m2, m3, m4))
-                if support is None:
-                    continue
-                full = support + tuple(sorted({m1, m2, m3, m4}))
-                candidates.append((len(set(full)), x, full))
-    for _, x, full in sorted(candidates, key=lambda c: (c[0], c[1])):
-        witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
-        if witness.verify(host):
-            return witness
+        val_pairs = by_value[x]
+        pos_pairs = by_position[x]
+        if not val_pairs or not pos_pairs:
+            continue
+        removals = [(m1, m2, m3, m4) for m3, m4 in pos_pairs for m1, m2 in val_pairs]
+        for removed, support in _step1_supports(values, pos, x, removals):
+            m1, m2, m3, m4 = removed
+            r, b, l, t = support
+            # r, b, l, t are never removed, and r != l, b != t, m1 != m2,
+            # m3 != m4: the support shrinks only where r or l is b or t, or
+            # m1 or m2 is m3 or m4
+            size = (8 - (r == b or r == t) - (l == b or l == t)
+                    - (m1 == m3 or m1 == m4) - (m2 == m3 or m2 == m4))
+            buckets[size - 4].append((x, support, removed))
+    for bucket in buckets:
+        for x, support, removed in bucket:
+            full = support + tuple(sorted(set(removed)))
+            witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
+            if witness.verify(host):
+                return witness
     raise RuntimeError("no simultaneous weak middle point produced a verified witness")
 
 

@@ -128,6 +128,15 @@ def test_usage_errors(graph_file, tmp_path, capsys):
                           ("0", "3", "not an edge"), ("2", "2", "not an edge")):
         assert main(["witness", "line-graph", str(p4), "--edge", u, v]) == 2
         assert message in capsys.readouterr().err
+    # inputs that parse but are too small for the construction
+    p12 = tmp_path / "p12.txt"
+    p12.write_text(" ".join(str(v) for v in range(12, 0, -1)) + "\n")
+    one = tmp_path / "iv1.txt"
+    one.write_text("1/3\n")
+    for kind, path, message in (("permutation", p12, "at least 13 points"),
+                                ("unit-interval", one, "at least 2 intervals")):
+        assert main(["witness", kind, str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verify_rejects_nonpositive_cases(capsys):
@@ -223,6 +232,37 @@ def test_recheck_builds_the_host_once(tmp_path, capsys, monkeypatch, kind):
     code, report = run(capsys, argv + ["--recheck"])
     assert code == 0 and report["result"]["recheck"] is True
     assert len(calls) == 1
+
+
+def test_unit_interval_witness_builds_the_host_once(tmp_path, capsys, monkeypatch):
+    from graphfun import families, verify, witnesses
+
+    calls = []
+    build = families.unit_interval_graph
+
+    def counted(iv):
+        calls.append(iv)
+        return build(iv)
+
+    for module in (families, witnesses, verify):
+        monkeypatch.setattr(module, "unit_interval_graph", counted)
+    path = tmp_path / "iv.txt"
+    path.write_text(families.format_intervals(verify._dense_intervals(20, 3)))
+    code, report = run(capsys, ["witness", "unit-interval", str(path)])
+    assert code == 0 and report["result"]["sd_value"] <= 1
+    assert len(calls) == 1
+    calls.clear()
+    passed, detail = verify.verify_unit_interval(cases=3)
+    assert passed
+    assert len(calls) == 3 + detail["exhaustive_cases"]
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(graphfun.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "graphfun", "verify", "oracle-equivalence",
+                           "--cases", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["passed"] is True
 
 
 @pytest.mark.parametrize("argv", [["fun", "min"], ["fun", "vertex", "--vertex", "0"]],

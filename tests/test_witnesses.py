@@ -137,9 +137,9 @@ def test_strict_middle_rejects_points_outside(x):
 
 
 def _try_strict(p, x):
-    from graphfun.witnesses import _step1_support
+    from graphfun.witnesses import _step1_supports
 
-    return _step1_support(p.values, p.position_of(), x) is not None
+    return bool(_step1_supports(p.values, p.position_of(), x, [()]))
 
 
 def test_permutation_witness_small_n_rejected():
@@ -232,6 +232,12 @@ def test_witness_host_of_the_wrong_size_is_rejected():
     p = random_permutation(20, 1)
     with pytest.raises(ValueError, match="host"):
         permutation_witness(p, host=permutation_graph(random_permutation(21, 1)))
+    iv = IntervalSet((Fraction(0), Fraction(1, 3), Fraction(5, 7)))
+    wrong = unit_interval_graph(IntervalSet(iv.lefts[:2]))
+    for builder in (unit_interval_pair, sum_sd_consecutive):
+        with pytest.raises(ValueError, match="host"):
+            builder(iv, host=wrong)
+        assert builder(iv, host=unit_interval_graph(iv)) == builder(iv)
 
 
 def _reference_permutation_witness(p):
@@ -276,7 +282,30 @@ def _reference_permutation_witness(p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(13, 24), st.integers(0, 2**32 - 1))
+@given(st.integers(13, 60), st.integers(0, 2**32 - 1))
 def test_permutation_witness_matches_pointwise_definition(n, seed):
     p = random_permutation(n, seed)
     assert permutation_witness(p) == _reference_permutation_witness(p)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (30, 1), (40, 0)])
+def test_refused_witnesses_fall_through_in_size_then_x_order(monkeypatch, n, seed):
+    # Every pool witness replays on its first try, so the fallback order is
+    # exercised by refusing each winner in turn: every refusal must move both
+    # implementations to the same next candidate.  On these permutations the
+    # eight winners cross a size boundary to a smaller x.
+    p = random_permutation(n, seed)
+    refused = set()
+    replay = DnfWitness.verify
+
+    def verify(w, g):
+        return (w.target, w.support) not in refused and replay(w, g)
+
+    monkeypatch.setattr(DnfWitness, "verify", verify)
+    sizes = []
+    for _ in range(8):
+        w = permutation_witness(p)
+        assert w == _reference_permutation_witness(p)
+        sizes.append(len(set(w.support)))
+        refused.add((w.target, w.support))
+    assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
