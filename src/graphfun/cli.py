@@ -131,10 +131,6 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 def _cmd_fun(args) -> tuple[dict, str, int]:
     g, text = _parse_graph_file(args.graphfile)
     if args.mode == "vertex":
-        if args.vertex is None:
-            raise CliError("fun vertex requires --vertex", EXIT_USAGE)
-        if not 0 <= args.vertex < g.n:
-            raise CliError(f"vertex {args.vertex} out of range", EXIT_USAGE)
         res = fun_vertex(g, args.vertex)
     elif args.mode == "min":
         res = min_fun(g)
@@ -153,11 +149,6 @@ def _cmd_fun(args) -> tuple[dict, str, int]:
 def _cmd_sd(args) -> tuple[dict, str, int]:
     g, text = _parse_graph_file(args.graphfile)
     if args.mode == "pair":
-        if args.x is None or args.y is None:
-            raise CliError("sd pair requires --x and --y", EXIT_USAGE)
-        for v in (args.x, args.y):
-            if not 0 <= v < g.n:
-                raise CliError(f"vertex {v} out of range", EXIT_USAGE)
         payload = {"value": sd_pair(g, args.x, args.y), "pair": [args.x, args.y]}
     elif args.mode == "min":
         res = min_sd(g)
@@ -223,17 +214,12 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}", EXIT_PARSE) from exc
     if args.kind == "unit-interval":
-        if instance.n < witnesses.MIN_INTERVALS:
-            raise CliError(f"need at least {witnesses.MIN_INTERVALS} intervals", EXIT_USAGE)
         host = families.unit_interval_graph(instance)
         t, value = witnesses.unit_interval_pair(instance, host=host)
         payload = {"t": t, "sd_value": value,
                    "sum_sd": witnesses.sum_sd_consecutive(instance, host=host)}
         return payload, _digest(text), EXIT_OK
     if args.kind == "permutation":
-        if instance.n < witnesses.MIN_PERMUTATION_POINTS:
-            raise CliError(
-                f"need at least {witnesses.MIN_PERMUTATION_POINTS} points", EXIT_USAGE)
         host = families.permutation_graph(instance)
         w = witnesses.permutation_witness(instance, host=host)
         payload = _witness_payload(w)
@@ -245,17 +231,8 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
                 return payload, _digest(text), EXIT_VIOLATION
         return payload, _digest(text), EXIT_OK
     # line-graph
-    g = instance
-    if args.edge is None:
-        raise CliError("witness line-graph requires --edge U V", EXIT_USAGE)
-    u, v = args.edge
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise CliError(f"vertex {x} out of range", EXIT_USAGE)
-    if not g.has_edge(u, v):
-        raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
-    host = families.line_graph(g)
-    w = witnesses.line_graph_witness(g, (u, v), host=host)
+    host = families.line_graph(instance)
+    w = witnesses.line_graph_witness(instance, tuple(args.edge), host=host)
     payload = _witness_payload(w)
     payload["terms"] = [list(t) for t in w.terms]
     if args.recheck:
@@ -272,8 +249,6 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
     except ValueError as exc:
         raise CliError(f"{args.hypergraphfile}: {exc}", EXIT_PARSE) from exc
     if args.mode == "bound":
-        if not h.edges:
-            raise CliError("need at least one hyperedge", EXIT_USAGE)
         host = hyper3.intersection_graph(h)
         report = hyper3.hyper3_fun_bound(h, host=host)
         payload = {
@@ -317,6 +292,19 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
 # --- argument parsing -------------------------------------------------------
 
 
+def _modes(sub, command: str, help: str, handler, dest: str, file: str,
+           names: list[str]) -> dict[str, argparse.ArgumentParser]:
+    """Subcommand ``command`` with one nested parser per mode, stored in
+    ``dest``; each mode takes the input ``file`` and only its own options."""
+    p = sub.add_parser(command, help=help)
+    p.set_defaults(handler=handler)
+    modes = p.add_subparsers(dest=dest, required=True)
+    parsers = {name: modes.add_parser(name) for name in names}
+    for mode in parsers.values():
+        mode.add_argument(file)
+    return parsers
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # parse state lives in the returned Namespace, so one parser serves
@@ -346,21 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(handler=_cmd_gen)
 
-    f = sub.add_parser("fun", help="functionality of a vertex or graph")
-    f.add_argument("mode", choices=["vertex", "min", "graph"])
-    f.add_argument("graphfile")
-    f.add_argument("--vertex", type=int)
-    f.add_argument("--exact-limit", type=int, default=14)
-    f.add_argument("--recheck", action="store_true")
-    f.set_defaults(handler=_cmd_fun)
+    fun = _modes(sub, "fun", "functionality of a vertex or graph", _cmd_fun,
+                 "mode", "graphfile", ["vertex", "min", "graph"])
+    fun["vertex"].add_argument("--vertex", type=int, required=True)
+    fun["graph"].add_argument("--exact-limit", type=int, default=14)
+    for m in fun.values():
+        m.add_argument("--recheck", action="store_true")
 
-    s = sub.add_parser("sd", help="neighbourhood symmetric differences")
-    s.add_argument("mode", choices=["pair", "min", "graph"])
-    s.add_argument("graphfile")
-    s.add_argument("--x", type=int)
-    s.add_argument("--y", type=int)
-    s.add_argument("--exact-limit", type=int, default=14)
-    s.set_defaults(handler=_cmd_sd)
+    sd = _modes(sub, "sd", "neighbourhood symmetric differences", _cmd_sd,
+                "mode", "graphfile", ["pair", "min", "graph"])
+    sd["pair"].add_argument("--x", type=int, required=True)
+    sd["pair"].add_argument("--y", type=int, required=True)
+    sd["graph"].add_argument("--exact-limit", type=int, default=14)
 
     d = sub.add_parser("degeneracy", help="degeneracy and elimination order")
     d.add_argument("graphfile")
@@ -375,18 +360,15 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("exprfile")
     k.set_defaults(handler=_cmd_kexpr)
 
-    w = sub.add_parser("witness", help="constructive small-support witnesses")
-    w.add_argument("kind", choices=["unit-interval", "permutation", "line-graph"])
-    w.add_argument("file")
-    w.add_argument("--edge", type=int, nargs=2)
-    w.add_argument("--recheck", action="store_true")
-    w.set_defaults(handler=_cmd_witness)
+    w = _modes(sub, "witness", "constructive small-support witnesses", _cmd_witness,
+               "kind", "file", ["unit-interval", "permutation", "line-graph"])
+    w["line-graph"].add_argument("--edge", type=int, nargs=2, required=True)
+    w["line-graph"].add_argument("--recheck", action="store_true")
+    w["permutation"].add_argument("--recheck", action="store_true")
 
-    h = sub.add_parser("hyper3", help="3-uniform hypergraph witness bounds")
-    h.add_argument("mode", choices=["bound", "structure"])
-    h.add_argument("hypergraphfile")
-    h.add_argument("--recheck", action="store_true")
-    h.set_defaults(handler=_cmd_hyper3)
+    h = _modes(sub, "hyper3", "3-uniform hypergraph witness bounds", _cmd_hyper3,
+               "mode", "hypergraphfile", ["bound", "structure"])
+    h["bound"].add_argument("--recheck", action="store_true")
 
     ver = sub.add_parser("verify", help="run a verification target")
     ver.add_argument("target", choices=sorted(verify.TARGETS))

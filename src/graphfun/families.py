@@ -139,22 +139,29 @@ def unit_interval_graph(iv: IntervalSet) -> Graph:
     return Graph(iv.n, tuple(rows))
 
 
-def _incidence_graph(n: int, edges: Sequence[tuple[int, ...]]) -> Graph:
-    """One vertex per (hyper)edge over ground set 0..n-1, adjacent iff the
-    edges share a vertex.  ``incident[v]`` is the mask of edge indices at
-    v, so the row of an edge is the OR of its vertices' masks minus itself."""
-    incident = [0] * n
+def incidence_masks(n: int, edges: Sequence[tuple[int, ...]]) -> list[int]:
+    """``inc[v]`` is the mask of the indices of the (hyper)edges at vertex v
+    of the ground set 0..n-1."""
+    inc = [0] * n
     bit = 1
     for e in edges:
         for v in e:
-            incident[v] |= bit
+            inc[v] |= bit
         bit <<= 1
+    return inc
+
+
+def _incidence_graph(n: int, edges: Sequence[tuple[int, ...]]) -> Graph:
+    """One vertex per (hyper)edge over ground set 0..n-1, adjacent iff the
+    edges share a vertex: the row of an edge is the OR of its vertices'
+    incidence masks minus itself."""
+    inc = incidence_masks(n, edges)
     rows = []
     bit = 1
     for e in edges:
         row = 0
         for v in e:
-            row |= incident[v]
+            row |= inc[v]
         rows.append(row & ~bit)
         bit <<= 1
     return Graph(len(edges), tuple(rows))

@@ -36,9 +36,6 @@ class WitnessFunction:
     table: dict[int, int]
     among: Optional[int] = None
 
-    def is_dontcare(self, profile: int) -> bool:
-        return profile not in self.table
-
     def evaluate(self, profile: int) -> int:
         # don't-care profiles read as 0 under totalization
         return self.table.get(profile, 0)

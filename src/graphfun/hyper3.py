@@ -7,6 +7,11 @@ it meets s.  Hypergraphs without thick pairs admit such an F of size at
 most 462 around every hyperedge; a thick pair forces one of three local
 structures (fly, windmill, broken windmill), each yielding an F of size at
 most 128 around a particular hyperedge.
+
+Every query for the hyperedges that contain or meet given vertices is a
+few AND / XOR / popcount operations on ``families.incidence_masks``, the
+mask of hyperedge indices at each vertex.  Only ``_verify_structure``, the
+independent check of a found structure, works on vertex sets.
 """
 from __future__ import annotations
 
@@ -15,9 +20,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .families import Hypergraph3, _incidence_graph
+from .families import Hypergraph3, _incidence_graph, incidence_masks
 from .functionality import is_function_of
-from .graph import Graph
+from .graph import Graph, _bits
 
 THICK_THRESHOLD = 32
 COVER_DEGREE_BOUND = 124     # 31 * 4: max degree in the cover case
@@ -49,11 +54,12 @@ class ThickStructure:
 class MatchingOrCover:
     """Outcome of the matching-or-cover dichotomy at a vertex: either three
     hyperedges pairwise meeting exactly at the vertex, or four vertices
-    meeting every hyperedge through it."""
+    (fewer when the ground set has fewer than five) meeting every
+    hyperedge through it."""
 
     kind: str  # "matching" | "cover"
     hyperedges: tuple[tuple[int, int, int], ...] = ()
-    cover: tuple[int, int, int, int] = ()
+    cover: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,22 @@ def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int
     return _incidence_graph(h.n, h.edges), h.edges
 
 
-def thick_pairs(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> list[ThickPair]:
-    counts: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for u, v in itertools.combinations(sorted(e), 2):
-            counts[(u, v)] = counts.get((u, v), 0) + 1
-    return [ThickPair(u, v, c) for (u, v), c in sorted(counts.items()) if c >= threshold]
+def thick_pairs(h: Hypergraph3) -> list[ThickPair]:
+    """Vertex pairs lying together in at least THICK_THRESHOLD hyperedges."""
+    inc = incidence_masks(h.n, h.edges)
+    pairs = sorted({p for e in h.edges for p in itertools.combinations(sorted(e), 2)})
+    counts = ((u, v, (inc[u] & inc[v]).bit_count()) for u, v in pairs)
+    return [ThickPair(u, v, c) for u, v, c in counts if c >= THICK_THRESHOLD]
+
+
+def _links(h: Hypergraph3, v: int, mask: int) -> list[tuple[tuple[int, int], int]]:
+    """(pair, i) for each hyperedge i in ``mask``, all of them through v;
+    the pair is the hyperedge minus v, sorted."""
+    out = []
+    for i in _bits(mask):
+        a, b = sorted(u for u in h.edges[i] if u != v)
+        out.append(((a, b), i))
+    return out
 
 
 def _greedy_matching(links: list[tuple[tuple[int, int], int]]) -> list[tuple[tuple[int, int], int]]:
@@ -94,19 +110,17 @@ def _greedy_matching(links: list[tuple[tuple[int, int], int]]) -> list[tuple[tup
 
 def matching_or_cover(h: Hypergraph3, v: int) -> MatchingOrCover:
     """Either 3 hyperedges pairwise intersecting exactly at v, or at most 4
-    vertices (padded to exactly 4) covering every hyperedge through v."""
-    links = []
-    for i, e in enumerate(h.edges):
-        if v in e:
-            a, b = sorted(set(e) - {v})
-            links.append(((a, b), i))
-    matching = _greedy_matching(links)
+    vertices covering every hyperedge through v: the matched ones, padded
+    with the lowest other ground vertices to 4, or to all of them when the
+    ground set has fewer than 5."""
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} out of range 0..{h.n - 1}")
+    matching = _greedy_matching(_links(h, v, incidence_masks(h.n, h.edges)[v]))
     if len(matching) >= 3:
         return MatchingOrCover("matching", tuple(h.edges[idx] for _, idx in matching[:3]))
     covered = sorted({u for pair, _ in matching for u in pair})
     pad = (u for u in range(h.n) if u not in covered and u != v)
-    while len(covered) < 4:
-        covered.append(next(pad))
+    covered += itertools.islice(pad, 4 - len(covered))
     return MatchingOrCover("cover", cover=tuple(covered))
 
 
@@ -123,67 +137,52 @@ def _prepared(h: Hypergraph3, host: Optional[Host]) -> Host:
     return host
 
 
-def _verify_determining(h: Hypergraph3, s_idx: int, f_indices: set[int],
-                        host: Optional[Host] = None) -> bool:
-    ig, _ = _prepared(h, host)
-    return is_function_of(ig, s_idx, f_indices) is not None
-
-
-def witness_no_thick(h: Hypergraph3, s, threshold: int = THICK_THRESHOLD, *,
-                     host: Optional[Host] = None) -> tuple[int, ...]:
+def witness_no_thick(h: Hypergraph3, s, *, host: Optional[Host] = None) -> tuple[int, ...]:
     """Determining set F around hyperedge s, |F| <= 462, for hypergraphs
     without thick pairs.  Verified by replay on ``host`` (the
     ``intersection_graph(h)`` pair, built when None) before returning."""
-    if thick_pairs(h, threshold):
+    if thick_pairs(h):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
-    return _witness_no_thick(h, s, host)
+    return _witness_no_thick(h, incidence_masks(h.n, h.edges), s, host)
 
 
-def _witness_no_thick(h: Hypergraph3, s, host: Optional[Host]) -> tuple[int, ...]:
-    """witness_no_thick for a hypergraph already known to have no thick pair."""
+def _witness_no_thick(h: Hypergraph3, inc: list[int], s,
+                      host: Optional[Host]) -> tuple[int, ...]:
+    """witness_no_thick for a hypergraph already known to have no thick
+    pair, given its ``incidence_masks``.  F is a mask of hyperedge indices
+    throughout."""
     edges = h.edges
     s_key = tuple(sorted(s))
     s_idx = edges.index(s_key)
-    s_set = set(s_key)
+    not_s = ~(1 << s_idx)
+    a, b, c = (inc[v] for v in s_key)
 
-    f: set[int] = {
-        i for i, e in enumerate(edges) if i != s_idx and len(set(e) & s_set) == 2
-    }
-    if len(f) > TWO_VERTEX_OVERLAP_BOUND:
+    f = ((a & b) | (a & c) | (b & c)) & not_s  # meets s in two vertices
+    if f.bit_count() > TWO_VERTEX_OVERLAP_BOUND:
         warnings.warn(
-            f"{len(f)} hyperedges meet s in 2 vertices, above the nominal "
+            f"{f.bit_count()} hyperedges meet s in 2 vertices, above the nominal "
             f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=3
         )
-    rest = [i for i in range(len(edges)) if i != s_idx and i not in f]
+    rest = ((1 << len(edges)) - 1) & ~f & not_s
 
     for v in s_key:
-        links = []
-        for i in rest:
-            if v in edges[i]:
-                a, b = sorted(set(edges[i]) - {v})
-                links.append(((a, b), i))
-        matching = _greedy_matching(links)
+        matching = _greedy_matching(_links(h, v, inc[v] & rest))
         if len(matching) >= 3:
-            tri = matching[:3]
-            f.update(idx for _, idx in tri)
-            wings = [set(pair) for pair, _ in tri]
-            for j, e in enumerate(edges):
-                if j == s_idx:
-                    continue
-                es = set(e)
-                if all(len(es & w) == 1 for w in wings):
-                    f.add(j)
+            one_per_wing = -1  # meets each wing in exactly one vertex
+            for (x, y), idx in matching[:3]:
+                f |= 1 << idx
+                one_per_wing &= inc[x] ^ inc[y]
+            f |= one_per_wing & not_s
         else:
-            covered = {u for pair, _ in matching for u in pair}
-            for j, e in enumerate(edges):
-                if j == s_idx:
-                    continue
-                if v in e and covered & set(e):
-                    f.add(j)
+            covered = 0
+            for (x, y), _ in matching:
+                covered |= inc[x] | inc[y]
+            f |= inc[v] & covered & not_s
 
-    if not _verify_determining(h, s_idx, f, host):
+    f_indices = tuple(_bits(f))
+    if is_function_of(_prepared(h, host)[0], s_idx, f_indices) is None:
         raise RuntimeError("no-thick-pair witness failed verification")
-    return tuple(sorted(f))
+    return f_indices
 
 
 def _find_disjoint_links(links: list[tuple[int, int]], k: int) -> Optional[list[int]]:
@@ -237,14 +236,14 @@ def _verify_structure(h: Hypergraph3, st: ThickStructure) -> bool:
     return False
 
 
-def find_thick_structure(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> ThickStructure:
+def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     """Locate a verified fly, windmill or broken windmill.
 
     The counting argument behind the existence proof is used only to guide
     the scan; whatever is returned has been re-checked against the
     structure definitions.
     """
-    thick = thick_pairs(h, threshold)
+    thick = thick_pairs(h)
     if not thick:
         raise ValueError("hypergraph has no thick pair")
     return _find_thick_structure(h, thick)
@@ -252,25 +251,19 @@ def find_thick_structure(h: Hypergraph3, threshold: int = THICK_THRESHOLD) -> Th
 
 def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStructure:
     """find_thick_structure given h's non-empty ``thick_pairs``."""
-    thick_set = {frozenset((p.u, p.v)) for p in thick}
+    thick_set = {(p.u, p.v) for p in thick}
     edges = h.edges
-    edge_set = set(edges)
+    inc = incidence_masks(h.n, edges)
 
-    def with_pair(pair: frozenset, exclude_third) -> list[tuple[int, int, int]]:
-        out = []
-        for e in edges:
-            if pair <= set(e):
-                third = next(iter(set(e) - pair))
-                if third not in exclude_third:
-                    out.append(e)
-        return out
+    def with_pair(a: int, b: int, x: int) -> list[tuple[int, int, int]]:
+        """Hyperedges through a and b but not x, in input order."""
+        return [edges[i] for i in _bits(inc[a] & inc[b] & ~inc[x])]
 
     # fly: a vertex forming hyperedges with 4 thick pairs through a common hub
     for v in range(h.n):
         partners: dict[int, list[int]] = {}
-        for pair in thick_set:
-            if v not in pair and tuple(sorted({v} | pair)) in edge_set:
-                a, b = sorted(pair)
+        for a, b in thick_set:
+            if v != a and v != b and inc[v] & inc[a] & inc[b]:
                 partners.setdefault(a, []).append(b)
                 partners.setdefault(b, []).append(a)
         for hub in sorted(partners):
@@ -279,7 +272,7 @@ def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStruct
                 continue
             z, *rest = mates
             spokes = [tuple(sorted({v, hub, u})) for u in rest[:3]]
-            blades = with_pair(frozenset((hub, z)), exclude_third={v})
+            blades = with_pair(hub, z, v)
             if len(blades) >= 3:
                 st = ThickStructure("fly", (hub, v, z), tuple(spokes + blades[:3]))
                 if _verify_structure(h, st):
@@ -289,23 +282,17 @@ def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStruct
     candidates = []
     for i, e in enumerate(edges):
         for a, b in itertools.combinations(sorted(e), 2):
-            if frozenset((a, b)) in thick_set:
+            if (a, b) in thick_set:
                 apex = next(iter(set(e) - {a, b}))
                 candidates.append((i, a, b, apex))
 
     # windmill: a 3-matching at the apex avoiding the thick pair
     for i, a, b, apex in candidates:
-        links = []
-        for j, e in enumerate(edges):
-            if j != i and apex in e:
-                pair = tuple(sorted(set(e) - {apex}))
-                if a not in pair and b not in pair:
-                    links.append(pair)
-        links = sorted(set(links))
+        links = sorted(pair for pair, _ in _links(h, apex, inc[apex] & ~inc[a] & ~inc[b]))
         found = _find_disjoint_links(links, 3)
         if found is None:
             continue
-        base = with_pair(frozenset((a, b)), exclude_third={apex})
+        base = with_pair(a, b, apex)
         if len(base) < 3:
             continue
         vanes = [tuple(sorted({apex, *links[j]})) for j in found]
@@ -313,12 +300,12 @@ def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStruct
         if _verify_structure(h, st):
             return st
 
-    # broken windmill: the apex lies in few hyperedges
+    # broken windmill: the apex lies in few hyperedges besides hyperedge i
     for i, a, b, apex in candidates:
-        degree = sum(1 for j, e in enumerate(edges) if j != i and apex in e)
+        degree = inc[apex].bit_count() - 1
         if degree > COVER_DEGREE_BOUND:
             continue
-        base = with_pair(frozenset((a, b)), exclude_third={apex})
+        base = with_pair(a, b, apex)
         if len(base) < 3:
             continue
         st = ThickStructure(
@@ -331,12 +318,12 @@ def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStruct
 
 
 def witness_thick(
-    h: Hypergraph3, threshold: int = THICK_THRESHOLD, *, host: Optional[Host] = None
+    h: Hypergraph3, *, host: Optional[Host] = None
 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
     pair.  Verified by replay on ``host`` (the ``intersection_graph(h)``
     pair, built when None) before returning."""
-    return _witness_thick(h, find_thick_structure(h, threshold), host)
+    return _witness_thick(h, find_thick_structure(h), host)
 
 
 def _witness_thick(
@@ -367,17 +354,16 @@ def _witness_thick(
         for combo in itertools.product(*wings):
             add_if_present(combo)
     else:
-        f.update(i for i, e in enumerate(edges) if v1 in e and e != s_key)
+        f.update(_bits(incidence_masks(h.n, edges)[v1] & ~(1 << index[s_key])))
         f.update(index[p] for p in st.parts)
         add_if_present(set().union(*map(set, st.parts)) - {v2, v3})
 
-    if not _verify_determining(h, index[s_key], f, host):
+    if is_function_of(_prepared(h, host)[0], index[s_key], f) is None:
         raise RuntimeError("thick-pair witness failed verification")
     return st.s, tuple(sorted(f))
 
 
-def hyper3_fun_bound(h: Hypergraph3, threshold: int = THICK_THRESHOLD, *,
-                     host: Optional[Host] = None) -> Hyper3Report:
+def hyper3_fun_bound(h: Hypergraph3, *, host: Optional[Host] = None) -> Hyper3Report:
     """Certified functionality bound for one vertex of the intersection
     graph: the no-thick-pair construction around the first hyperedge, or
     the structural construction when a thick pair exists.  The witness is
@@ -386,13 +372,13 @@ def hyper3_fun_bound(h: Hypergraph3, threshold: int = THICK_THRESHOLD, *,
     if not h.edges:
         raise ValueError("need at least one hyperedge")
     host = _prepared(h, host)
-    thick = thick_pairs(h, threshold)
+    thick = thick_pairs(h)
     if thick:
         s, f = _witness_thick(h, _find_thick_structure(h, thick), host)
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = _witness_no_thick(h, s, host)
+    f = _witness_no_thick(h, incidence_masks(h.n, h.edges), s, host)
     return Hyper3Report(0, s, f, len(f), False)
 
 

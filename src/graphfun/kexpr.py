@@ -291,11 +291,6 @@ def random_kexpression(k: int, ops: int, seed: int) -> KExpression:
     return tree
 
 
-def read_kexpression(path) -> KExpression:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
 # The C5 construction over labels 1..4 used as a cross-module test anchor.
 C5_EXPRESSION_TEXT = (
     "eta(4,1,eta(4,3,u(node(4,e),rho(4,3,rho(3,2,"

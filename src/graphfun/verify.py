@@ -256,9 +256,10 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     for i in range(cases):
         h = _no_thick_instance(rng.randrange(2**32))
         host = hyper3.intersection_graph(h)
+        inc = families.incidence_masks(h.n, h.edges)
         # _no_thick_instance has checked thick_pairs once for the whole h
         for s in h.edges:
-            f = hyper3._witness_no_thick(h, s, host)
+            f = hyper3._witness_no_thick(h, inc, s, host)
             max_f = max(max_f, len(f))
             if len(f) > hyper3.NO_THICK_WITNESS_BOUND:
                 failures.append({"case": i, "s": list(s), "size": len(f)})

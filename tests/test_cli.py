@@ -139,6 +139,40 @@ def test_usage_errors(graph_file, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_options_of_other_modes_are_rejected(graph_file, tmp_path, capsys):
+    from graphfun import families, hyper3
+
+    files = {"graph": graph_file}
+    for name, text in (("iv", "1/3\n2\n"),
+                       ("perm", families.format_permutation(families.random_permutation(20, 1))),
+                       ("hyper", families.format_hypergraph(hyper3.fixture_fly()))):
+        (tmp_path / name).write_text(text)
+        files[name] = str(tmp_path / name)
+    for command, kind, options in (
+        (["witness", "unit-interval"], "iv", ["--recheck"]),
+        (["witness", "unit-interval"], "iv", ["--edge", "0", "1"]),
+        (["witness", "permutation"], "perm", ["--edge", "0", "1"]),
+        (["hyper3", "structure"], "hyper", ["--recheck"]),
+        (["fun", "min"], "graph", ["--vertex", "0"]),
+        (["fun", "graph"], "graph", ["--vertex", "0"]),
+        (["fun", "vertex"], "graph", ["--vertex", "0", "--exact-limit", "5"]),
+        (["fun", "min"], "graph", ["--exact-limit", "5"]),
+        (["sd", "min"], "graph", ["--x", "0", "--y", "1"]),
+        (["sd", "graph"], "graph", ["--x", "0", "--y", "1"]),
+        (["sd", "pair"], "graph", ["--x", "0", "--y", "1", "--exact-limit", "5"]),
+        (["sd", "min"], "graph", ["--exact-limit", "5"]),
+        (["sd", "pair"], "graph", ["--x", "0"]),
+        (["witness", "line-graph"], "graph", []),
+    ):
+        argv = command + [files[kind]] + options
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
+        # the same command without the stray options runs
+        if options and command[-1] not in ("pair", "vertex"):
+            assert main(command + [files[kind]]) == 0, command
+            capsys.readouterr()
+
+
 def test_verify_rejects_nonpositive_cases(capsys):
     for cases in ("0", "-1"):
         assert main(["verify", "oracle-equivalence", "--cases", cases]) == 2

@@ -1,14 +1,21 @@
+import hashlib
 import itertools
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfun.families import Hypergraph3, random_3_hypergraph
+from graphfun import hyper3
+from graphfun.families import Hypergraph3, incidence_masks, random_3_hypergraph
 from graphfun.functionality import is_function_of
 from graphfun.graph import Graph
 from graphfun.hyper3 import (
     NO_THICK_WITNESS_BOUND,
+    Hyper3Report,
+    MatchingOrCover,
+    ThickStructure,
     THICK_THRESHOLD,
     THICK_WITNESS_BOUND,
     find_thick_structure,
@@ -85,6 +92,17 @@ def test_matching_or_cover_cases():
 
     mc3 = matching_or_cover(h2, 4)
     assert mc3.kind == "cover"
+
+
+def test_matching_or_cover_on_fewer_than_five_vertices():
+    # the cover is padded with the other ground vertices there are
+    h3 = Hypergraph3.from_edges(3, [(0, 1, 2)])
+    assert matching_or_cover(h3, 0) == MatchingOrCover("cover", cover=(1, 2))
+    h4 = Hypergraph3.from_edges(4, [(0, 1, 2)])
+    assert matching_or_cover(h4, 0) == MatchingOrCover("cover", cover=(1, 2, 3))
+    assert matching_or_cover(h4, 3) == MatchingOrCover("cover", cover=(0, 1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        matching_or_cover(h4, 4)
 
 
 def test_witness_no_thick_disjoint():
@@ -201,3 +219,135 @@ def test_hyper3_host_of_the_wrong_size_is_rejected():
     with pytest.raises(ValueError, match="host"):
         witness_no_thick(disjoint, (0, 1, 2), host=wrong)
     assert hyper3_fun_bound(fly, host=intersection_graph(fly)) == hyper3_fun_bound(fly)
+
+
+# --- set-based references: one Python set test per hyperedge -----------------
+
+
+def _ref_thick_pairs(h, threshold):
+    counts = {}
+    for e in h.edges:
+        for pair in itertools.combinations(sorted(e), 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    return [(u, v, c) for (u, v), c in sorted(counts.items()) if c >= threshold]
+
+
+def _ref_links(h, v, among):
+    return [(tuple(sorted(set(e) - {v})), i) for i, e in enumerate(h.edges)
+            if i in among and v in e]
+
+
+def _ref_matching(links):
+    matched, out = set(), []
+    for pair, i in sorted(links):
+        if matched.isdisjoint(pair):
+            matched.update(pair)
+            out.append((pair, i))
+    return out
+
+
+def _ref_matching_or_cover(h, v):
+    matching = _ref_matching(_ref_links(h, v, range(len(h.edges))))
+    if len(matching) >= 3:
+        return MatchingOrCover("matching", tuple(h.edges[i] for _, i in matching[:3]))
+    covered = sorted({u for pair, _ in matching for u in pair})
+    covered += [u for u in range(h.n) if u not in covered and u != v][:4 - len(covered)]
+    return MatchingOrCover("cover", cover=tuple(covered))
+
+
+def _ref_witness_no_thick(h, s):
+    edges, s_set = h.edges, set(s)
+    s_idx = edges.index(tuple(sorted(s)))
+    f = {i for i, e in enumerate(edges) if i != s_idx and len(set(e) & s_set) == 2}
+    rest = {i for i in range(len(edges)) if i != s_idx and i not in f}
+    for v in sorted(s):
+        matching = _ref_matching(_ref_links(h, v, rest))
+        if len(matching) >= 3:
+            wings = [set(pair) for pair, _ in matching[:3]]
+            f.update(i for _, i in matching[:3])
+            f.update(j for j, e in enumerate(edges)
+                     if j != s_idx and all(len(set(e) & w) == 1 for w in wings))
+        else:
+            covered = {u for pair, _ in matching for u in pair}
+            f.update(j for j, e in enumerate(edges)
+                     if j != s_idx and v in e and covered & set(e))
+    return tuple(sorted(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=3, max_size=3)
+             .map(lambda e: tuple(sorted(e))), unique=True, min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=4))))
+def test_incidence_masks_match_set_references(case):
+    n, edges, threshold = case
+    h = Hypergraph3.from_edges(n, edges)
+    # thick pairs need 32 hyperedges on a pair; a low threshold makes the
+    # counts visible at this size
+    with mock.patch.object(hyper3, "THICK_THRESHOLD", threshold):
+        assert [(p.u, p.v, p.count) for p in thick_pairs(h)] == _ref_thick_pairs(h, threshold)
+    assert thick_pairs(h) == []
+    for v in range(n):
+        assert matching_or_cover(h, v) == _ref_matching_or_cover(h, v)
+    inc = incidence_masks(n, h.edges)
+    for s in h.edges:
+        assert hyper3._witness_no_thick(h, inc, s, None) == _ref_witness_no_thick(h, s)
+
+
+# --- golden pins of the thick-pair constructions ------------------------------
+
+
+def _grown(kind, seed, extra, lo, hi, fan):
+    """The fixture of ``kind``, plus ``fan`` hyperedges (0, 34, 38 + k) and
+    ``extra`` seeded random hyperedges on lo..hi-1 when ``seed`` is set."""
+    h = getattr(hyper3, f"fixture_{kind}")()
+    if seed is None:
+        return h
+    rng = random.Random(seed)
+    edges = list(h.edges) + [(0, 34, 38 + k) for k in range(fan)]
+    seen = set(edges)
+    while len(seen) < len(h.edges) + fan + extra:
+        e = tuple(sorted(rng.sample(range(lo, hi), 3)))
+        if e not in seen:
+            seen.add(e)
+            edges.append(e)
+    return Hypergraph3(max(h.n, hi, 38 + fan), tuple(edges))
+
+
+# (kind, seed, extra, lo, hi, fan), the structure found (kind, s, parts,
+# apex_degree), and (s index, |F|, digest of F) of the witness
+THICK_PINS = [
+    (('fly', None, 0, 0, 0, 0), ('fly', (0, 1, 2), ((0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 6), (0, 2, 7), (0, 2, 8)), None), (0, 6, 'aa1cdd3b719f')),
+    (('windmill', None, 0, 0, 0, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 34, 35), (0, 36, 37), (0, 38, 39)), None), (0, 6, '12a9b432c21b')),
+    (('broken_windmill', None, 0, 0, 0, 0), ('broken_windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5)), 3), (0, 6, '12a9b432c21b')),
+    (('fly', 0, 40, 0, 16, 0), ('fly', (0, 1, 2), ((0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 6), (0, 2, 7), (0, 2, 8)), None), (0, 7, '9318a0e5846c')),
+    (('fly', 1, 40, 0, 16, 0), ('fly', (0, 1, 2), ((0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 6), (0, 2, 7), (0, 2, 8)), None), (0, 7, 'c8ed61b65802')),
+    (('fly', 2, 40, 0, 16, 0), ('fly', (0, 1, 2), ((0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 6), (0, 2, 7), (0, 2, 8)), None), (0, 7, '90c52cdfe8e5')),
+    (('windmill', 0, 40, 1, 12, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 34, 35), (0, 36, 37), (0, 38, 39)), None), (0, 7, '41d809908ff9')),
+    (('windmill', 1, 40, 1, 12, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 34, 35), (0, 36, 37), (0, 38, 39)), None), (0, 6, '12a9b432c21b')),
+    (('windmill', 0, 30, 0, 50, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 3, 35), (0, 31, 39), (0, 36, 37)), None), (0, 6, 'c3912f571552')),
+    (('windmill', 1, 30, 0, 50, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 24, 43), (0, 28, 44), (0, 34, 35)), None), (0, 6, 'a8540585245a')),
+    (('broken_windmill', 0, 12, 0, 12, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 4, 8), (0, 6, 11), (0, 34, 35)), None), (0, 6, '43ec067be151')),
+    (('broken_windmill', 1, 12, 0, 12, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 3, 6), (0, 7, 9), (0, 8, 11)), None), (0, 7, 'a3a880ed6d61')),
+    (('windmill', 0, 8, 0, 6, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 3, 5), (0, 34, 35), (0, 36, 37)), None), (0, 7, 'ba868bac9e35')),
+    (('windmill', 1, 12, 0, 8, 0), ('windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 3, 4), (0, 5, 7), (0, 34, 35)), None), (0, 6, '6bcf06d986eb')),
+    (('fly', 0, 12, 0, 8, 0), ('fly', (0, 1, 2), ((0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 6), (0, 2, 7), (0, 2, 8)), None), (0, 7, '3b7b2abbc7b2')),
+    (('broken_windmill', 0, 40, 34, 70, 0), ('broken_windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5)), 3), (0, 6, '12a9b432c21b')),
+    (('broken_windmill', 1, 40, 34, 70, 20), ('broken_windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5)), 23), (0, 26, '25fc900a6f34')),
+    (('broken_windmill', 2, 40, 34, 70, 28), ('broken_windmill', (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5)), 31), (0, 34, 'bec13b6236ec')),
+    (('broken_windmill', 3, 40, 34, 70, 29), ('windmill', (35, 0, 34), ((0, 34, 36), (0, 34, 37), (0, 34, 38), (35, 51, 55), (35, 52, 61), (35, 54, 60)), None), (32, 6, '41c6895cdd3f')),
+    (('broken_windmill', 4, 40, 34, 70, 121), ('windmill', (35, 0, 34), ((0, 34, 36), (0, 34, 37), (0, 34, 38), (35, 36, 63), (35, 38, 39), (35, 47, 50)), None), (32, 7, '8fa2fc78fed6')),
+]
+
+
+@pytest.mark.parametrize("instance,structure,witness", THICK_PINS)
+def test_thick_constructions_are_pinned(instance, structure, witness):
+    h = _grown(*instance)
+    kind, s, parts, apex_degree = structure
+    s_index, size, digest = witness
+    assert find_thick_structure(h) == ThickStructure(kind, s, parts, apex_degree)
+    found_s, f = witness_thick(h)
+    assert found_s == s and len(f) == size
+    assert hashlib.sha256(repr(f).encode()).hexdigest()[:12] == digest
+    assert hyper3_fun_bound(h) == Hyper3Report(s_index, s, f, size, True)
