@@ -84,9 +84,8 @@ def _fun_result_payload(res) -> dict:
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
     fam = args.family
-    seed = args.seed
     if fam == "random-graph":
-        g = families.random_graph(args.n, args.p, seed)
+        g = families.random_graph(args.n, args.p, args.seed)
         text = format_graph(g)
         payload = {"family": fam, "n": g.n, "m": g.num_edges()}
     elif fam == "hypercube":
@@ -98,7 +97,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
         text = format_graph(g)
         payload = {"family": fam, "n": g.n, "m": g.num_edges()}
     elif fam == "permutation":
-        p = families.random_permutation(args.n, seed)
+        p = families.random_permutation(args.n, args.seed)
         text = families.format_permutation(p)
         payload = {"family": fam, "n": p.n}
     elif fam == "sd-construction":
@@ -106,15 +105,15 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
         text = families.format_permutation(p)
         payload = {"family": fam, "t": args.t, "n": p.n}
     elif fam == "unit-intervals":
-        iv = families.random_unit_intervals(args.n, seed)
+        iv = families.random_unit_intervals(args.n, args.seed)
         text = families.format_intervals(iv)
         payload = {"family": fam, "n": iv.n}
     elif fam == "hypergraph":
-        h = families.random_3_hypergraph(args.n, args.m, seed)
+        h = families.random_3_hypergraph(args.n, args.m, args.seed)
         text = families.format_hypergraph(h)
         payload = {"family": fam, "n": h.n, "m": len(h.edges)}
     elif fam == "kexpression":
-        e = kexpr.random_kexpression(args.k, args.ops, seed)
+        e = kexpr.random_kexpression(args.k, args.ops, args.seed)
         text = kexpr.to_text(e) + "\n"
         payload = {"family": fam, "k": args.k, "ops": args.ops}
     else:  # pragma: no cover - argparse restricts choices
@@ -293,15 +292,16 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
 
 
 def _modes(sub, command: str, help: str, handler, dest: str, file: str,
-           names: list[str]) -> dict[str, argparse.ArgumentParser]:
+           names: list[str], **file_options) -> dict[str, argparse.ArgumentParser]:
     """Subcommand ``command`` with one nested parser per mode, stored in
-    ``dest``; each mode takes the input ``file`` and only its own options."""
+    ``dest``; each mode takes the ``file`` argument (made with
+    ``file_options``) and only its own options."""
     p = sub.add_parser(command, help=help)
     p.set_defaults(handler=handler)
     modes = p.add_subparsers(dest=dest, required=True)
     parsers = {name: modes.add_parser(name) for name in names}
     for mode in parsers.values():
-        mode.add_argument(file)
+        mode.add_argument(file, **file_options)
     return parsers
 
 
@@ -316,23 +316,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument(
-        "family",
-        choices=[
-            "random-graph", "hypercube", "shattering", "permutation",
-            "sd-construction", "unit-intervals", "hypergraph", "kexpression",
-        ],
-    )
-    g.add_argument("--n", type=int, default=10)
-    g.add_argument("--m", type=int, default=20)
-    g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--t", type=int, default=2)
-    g.add_argument("--k", type=int, default=3)
-    g.add_argument("--ops", type=int, default=20)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(handler=_cmd_gen)
+    gen = _modes(sub, "gen", "generate an instance file", _cmd_gen, "family", "--out",
+                 ["random-graph", "hypercube", "shattering", "permutation",
+                  "sd-construction", "unit-intervals", "hypergraph", "kexpression"],
+                 required=True)
+    for fam in ("random-graph", "hypercube", "shattering", "permutation",
+                "unit-intervals", "hypergraph"):
+        gen[fam].add_argument("--n", type=int, default=10)
+    gen["hypergraph"].add_argument("--m", type=int, default=20)
+    gen["random-graph"].add_argument("--p", type=float, default=0.5)
+    gen["sd-construction"].add_argument("--t", type=int, default=2)
+    gen["kexpression"].add_argument("--k", type=int, default=3)
+    gen["kexpression"].add_argument("--ops", type=int, default=20)
+    for fam in ("random-graph", "permutation", "unit-intervals", "hypergraph", "kexpression"):
+        gen[fam].add_argument("--seed", type=int, default=0)
 
     fun = _modes(sub, "fun", "functionality of a vertex or graph", _cmd_fun,
                  "mode", "graphfile", ["vertex", "min", "graph"])
@@ -411,8 +408,7 @@ def main(argv=None) -> int:
         "timing_ms": elapsed,
         "version": __version__,
     }
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
     print(f"{args.command}: {summary} [{elapsed} ms]", file=sys.stderr)
     return code

@@ -138,6 +138,14 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
     child that leaves nothing unresolved is recorded on the spot.  Only
     subtrees that cannot strictly improve are cut, so the support returned
     is the first minimum in branching order.
+
+    A child two short of the best size is finished in that pass without a
+    list (``_finish``): only the child alone or the child and one more
+    vertex can improve, and that vertex must be unbanned and lie in every
+    mask the child leaves unresolved.  The parent ANDs those masks from
+    ``~banned`` and takes the lowest bit, which is the first grandchild
+    the child's own loop would find resolving all of them, so the mask
+    returned is the same.
     """
     best_size = cap
     best_mask: Optional[int] = None
@@ -153,28 +161,34 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
         while cands and size < best_size:
             bit = cands & -cands
             cands ^= bit
-            allowed = ~banned
-            used = 0
-            need = size
-            rest: list[int] = []
-            for m in unresolved:
-                if m & bit:
-                    continue
-                free = m & allowed
-                if not free:
-                    break
-                if not free & used:
-                    used |= free
-                    need += 1
-                    if need >= best_size:
-                        break
-                rest.append(m)
+            if best_size - size == 2:
+                done = _finish(unresolved, bit, ~banned)
+                if done:
+                    best_mask = chosen | done
+                    best_size = best_mask.bit_count()
             else:
-                if rest:
-                    rec(chosen | bit, size, rest, banned)
+                allowed = ~banned
+                used = 0
+                need = size
+                rest: list[int] = []
+                for m in unresolved:
+                    if m & bit:
+                        continue
+                    free = m & allowed
+                    if not free:
+                        break
+                    if not free & used:
+                        used |= free
+                        need += 1
+                        if need >= best_size:
+                            break
+                    rest.append(m)
                 else:
-                    best_size = size
-                    best_mask = chosen | bit
+                    if rest:
+                        rec(chosen | bit, size, rest, banned)
+                    else:
+                        best_size = size
+                        best_mask = chosen | bit
             banned |= bit
 
     pending = sorted(masks, key=int.bit_count)
@@ -190,6 +204,20 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
     elif best_size > 0:
         best_mask = 0
     return best_mask
+
+
+def _finish(unresolved: list[int], bit: int, allowed: int) -> int:
+    """What a child two short of the best adds to its parent's choice:
+    ``bit`` if it hits every mask of ``unresolved``, else ``bit`` and the
+    lowest ``allowed`` vertex (``allowed`` is ``~banned``) in every mask it
+    misses, else 0 (no such vertex)."""
+    common = allowed  # negative until a missed mask is ANDed in
+    for m in unresolved:
+        if not m & bit:
+            common &= m
+            if not common:
+                return 0
+    return bit if common < 0 else bit | (common & -common)
 
 
 def _trivial_feasible(g: Graph, y: int, among: Optional[int] = None) -> int:

@@ -81,7 +81,11 @@ def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int
 
 def thick_pairs(h: Hypergraph3) -> list[ThickPair]:
     """Vertex pairs lying together in at least THICK_THRESHOLD hyperedges."""
-    inc = incidence_masks(h.n, h.edges)
+    return _thick_pairs(h, incidence_masks(h.n, h.edges))
+
+
+def _thick_pairs(h: Hypergraph3, inc: list[int]) -> list[ThickPair]:
+    """thick_pairs given h's ``incidence_masks``."""
     pairs = sorted({p for e in h.edges for p in itertools.combinations(sorted(e), 2)})
     counts = ((u, v, (inc[u] & inc[v]).bit_count()) for u, v in pairs)
     return [ThickPair(u, v, c) for u, v, c in counts if c >= THICK_THRESHOLD]
@@ -141,9 +145,10 @@ def witness_no_thick(h: Hypergraph3, s, *, host: Optional[Host] = None) -> tuple
     """Determining set F around hyperedge s, |F| <= 462, for hypergraphs
     without thick pairs.  Verified by replay on ``host`` (the
     ``intersection_graph(h)`` pair, built when None) before returning."""
-    if thick_pairs(h):
+    inc = incidence_masks(h.n, h.edges)
+    if _thick_pairs(h, inc):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
-    return _witness_no_thick(h, incidence_masks(h.n, h.edges), s, host)
+    return _witness_no_thick(h, inc, s, host)
 
 
 def _witness_no_thick(h: Hypergraph3, inc: list[int], s,
@@ -243,17 +248,16 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     the scan; whatever is returned has been re-checked against the
     structure definitions.
     """
-    thick = thick_pairs(h)
+    inc = incidence_masks(h.n, h.edges)
+    return _find_thick_structure(h, inc, _thick_pairs(h, inc))
+
+
+def _find_thick_structure(h: Hypergraph3, inc: list[int], thick: list[ThickPair]) -> ThickStructure:
+    """find_thick_structure given h's ``incidence_masks`` and ``thick_pairs``."""
     if not thick:
         raise ValueError("hypergraph has no thick pair")
-    return _find_thick_structure(h, thick)
-
-
-def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStructure:
-    """find_thick_structure given h's non-empty ``thick_pairs``."""
     thick_set = {(p.u, p.v) for p in thick}
     edges = h.edges
-    inc = incidence_masks(h.n, edges)
 
     def with_pair(a: int, b: int, x: int) -> list[tuple[int, int, int]]:
         """Hyperedges through a and b but not x, in input order."""
@@ -323,13 +327,15 @@ def witness_thick(
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
     pair.  Verified by replay on ``host`` (the ``intersection_graph(h)``
     pair, built when None) before returning."""
-    return _witness_thick(h, find_thick_structure(h), host)
+    inc = incidence_masks(h.n, h.edges)
+    return _witness_thick(h, inc, _find_thick_structure(h, inc, _thick_pairs(h, inc)), host)
 
 
 def _witness_thick(
-    h: Hypergraph3, st: ThickStructure, host: Optional[Host]
+    h: Hypergraph3, inc: list[int], st: ThickStructure, host: Optional[Host]
 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """witness_thick around the thick structure ``st`` already found in h."""
+    """witness_thick around the thick structure ``st`` already found in h,
+    given h's ``incidence_masks``."""
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
     s_key = tuple(sorted(st.s))
@@ -354,7 +360,7 @@ def _witness_thick(
         for combo in itertools.product(*wings):
             add_if_present(combo)
     else:
-        f.update(_bits(incidence_masks(h.n, edges)[v1] & ~(1 << index[s_key])))
+        f.update(_bits(inc[v1] & ~(1 << index[s_key])))
         f.update(index[p] for p in st.parts)
         add_if_present(set().union(*map(set, st.parts)) - {v2, v3})
 
@@ -372,13 +378,14 @@ def hyper3_fun_bound(h: Hypergraph3, *, host: Optional[Host] = None) -> Hyper3Re
     if not h.edges:
         raise ValueError("need at least one hyperedge")
     host = _prepared(h, host)
-    thick = thick_pairs(h)
+    inc = incidence_masks(h.n, h.edges)
+    thick = _thick_pairs(h, inc)
     if thick:
-        s, f = _witness_thick(h, _find_thick_structure(h, thick), host)
+        s, f = _witness_thick(h, inc, _find_thick_structure(h, inc, thick), host)
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = _witness_no_thick(h, incidence_masks(h.n, h.edges), s, host)
+    f = _witness_no_thick(h, inc, s, host)
     return Hyper3Report(0, s, f, len(f), False)
 
 

@@ -270,8 +270,9 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     }
     fixture_report = {}
     for kind, h in fixtures.items():
-        st = hyper3.find_thick_structure(h)
-        s, f = hyper3._witness_thick(h, st, None)
+        inc = families.incidence_masks(h.n, h.edges)
+        st = hyper3._find_thick_structure(h, inc, hyper3._thick_pairs(h, inc))
+        s, f = hyper3._witness_thick(h, inc, st, None)
         fixture_report[kind] = {"found": st.kind, "f_size": len(f)}
         if st.kind != kind or len(f) > hyper3.THICK_WITNESS_BOUND:
             failures.append({"fixture": kind, "found": st.kind, "size": len(f)})

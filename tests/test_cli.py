@@ -4,10 +4,12 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import graphfun
+from graphfun import cli
 from graphfun.cli import main
 from graphfun.families import random_graph
 from graphfun.graph import write_graph
@@ -171,6 +173,26 @@ def test_options_of_other_modes_are_rejected(graph_file, tmp_path, capsys):
         if options and command[-1] not in ("pair", "vertex"):
             assert main(command + [files[kind]]) == 0, command
             capsys.readouterr()
+    # gen: each family takes only the options it reads
+    out = tmp_path / "gen.out"
+    for family, own, stray in (
+        ("hypercube", ["--n", "3"], ["--seed", "5", "--p", "0.9"]),
+        ("hypercube", ["--n", "3"], ["--p", "0.9"]),
+        ("random-graph", ["--n", "5"], ["--m", "99"]),
+        ("random-graph", ["--n", "5"], ["--t", "7", "--ops", "3"]),
+        ("shattering", ["--n", "3"], ["--seed", "1"]),
+        ("permutation", ["--n", "5", "--seed", "1"], ["--p", "0.5"]),
+        ("sd-construction", ["--t", "2"], ["--n", "4"]),
+        ("unit-intervals", ["--n", "5", "--seed", "1"], ["--m", "3"]),
+        ("hypergraph", ["--n", "6", "--m", "4", "--seed", "1"], ["--k", "3"]),
+        ("kexpression", ["--k", "2", "--ops", "5", "--seed", "1"], ["--n", "4"]),
+    ):
+        argv = ["gen", family, "--out", str(out)] + own
+        assert main(argv + stray) == 2, argv + stray
+        assert capsys.readouterr().out == "" and not out.exists(), argv + stray
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        out.unlink()
 
 
 def test_verify_rejects_nonpositive_cases(capsys):
@@ -314,3 +336,36 @@ def test_recheck_holds_under_python_O(tmp_path, capsys, argv):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == report["result"]
+
+
+# ``fun vertex g.txt --vertex 0 --recheck`` on random_graph(8, 0.5, 3), with
+# the clock stopped, as written by json.dump to the stream before the
+# report became one write
+FUN_VERTEX_REPORT = """\
+{
+  "command": "fun vertex g.txt --vertex 0 --recheck",
+  "input_digest": "f1e1edabf62ef757d2f96d3fd3d2e32f1173e1860c9f0e2f8d33d101a00d6297",
+  "result": {
+    "recheck": true,
+    "subgraph": null,
+    "value": 2,
+    "witness_set": [
+      2,
+      6
+    ],
+    "witness_vertex": 0
+  },
+  "rng": "python-random-mt19937",
+  "seed": null,
+  "timing_ms": 0,
+  "version": "0.1.0"
+}
+"""
+
+
+def test_report_bytes_are_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_graph(random_graph(8, 0.5, 3), "g.txt")
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    assert main(["fun", "vertex", "g.txt", "--vertex", "0", "--recheck"]) == 0
+    assert capsys.readouterr().out == FUN_VERTEX_REPORT

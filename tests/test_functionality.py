@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphfun import functionality
 from graphfun.families import permutation_graph, random_graph, random_permutation
 from graphfun.functionality import (
     _min_hitting_set,
@@ -289,6 +290,19 @@ def _two_pass_min_hitting_set(masks, cap, init):
     return best_mask
 
 
+# (masks, cap, guess) whose feasible guess of size 3 puts the root's
+# children two short of the best, so they take the AND pass
+AND_PASS_EXAMPLES = [
+    # vertex 0 hits every mask on its own
+    ([0b0011, 0b0101], 9, 0b0111),
+    # 0 and 1 complete; sibling 1, then one short, hits every mask alone
+    ([0b0011, 0b1110], 9, 0b0111),
+    # the masks 0 misses share no vertex, so 0 is banned; 3 misses 0b0110
+    # and 0b0011, which holds the banned 0, and 1 completes
+    ([0b1001, 0b0110, 0b0011, 0b11000], 9, 0b10011),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=4095), max_size=16),
@@ -300,11 +314,41 @@ def _two_pass_min_hitting_set(masks, cap, init):
 @example([0b0011, 0b1100], 0, 0b1111)
 @example([0b0011, 0b1100], 9, 0b1111)  # init strictly beaten: 0b0101 wins
 @example([0b0011, 0b1100], 9, 0b1010)  # init ties the minimum and is kept
+@example(*AND_PASS_EXAMPLES[0])
+@example(*AND_PASS_EXAMPLES[1])
+@example(*AND_PASS_EXAMPLES[2])
 def test_min_hitting_set_returns_the_reference_mask(masks, cap, guess):
     # the same mask, not only the same size: supports must not change
     init = guess if all(m & guess for m in masks) else 4095
     for seed in (None, init):
         assert _min_hitting_set(masks, cap, seed) == _two_pass_min_hitting_set(masks, cap, seed)
+
+
+def test_and_pass_examples_take_the_and_pass(monkeypatch):
+    calls = []
+    real = functionality._finish
+
+    def spy(unresolved, bit, allowed):
+        done = real(unresolved, bit, allowed)
+        calls.append((bit, ~allowed, [m for m in unresolved if not m & bit], done))
+        return done
+
+    monkeypatch.setattr(functionality, "_finish", spy)
+    seen = []
+    for masks, cap, guess in AND_PASS_EXAMPLES:
+        calls.clear()
+        seen.append((_min_hitting_set(masks, cap, guess), list(calls)))
+    # (returned mask, [(bit, bans, masks the bit misses, AND pass result)])
+    assert seen == [
+        (0b0001, [(0b0001, 0, [], 0b0001)]),
+        (0b0010, [(0b0001, 0, [0b1110], 0b0011)]),
+        (0b1010, [(0b0001, 0, [0b0110, 0b11000], 0),
+                  (0b1000, 0b0001, [0b0110, 0b0011], 0b1010)]),
+    ]
+    # A banned vertex in every missed mask is skipped.  The search never
+    # passes one: that vertex's own branch has already found a set of the
+    # size this one would complete, so the child would not be two short.
+    assert real([0b0111, 0b0101], 0b1000, ~0b0001) == 0b1100
 
 
 # Pinned supports: a faster search may prune more but must report these.

@@ -351,3 +351,16 @@ def test_thick_constructions_are_pinned(instance, structure, witness):
     assert found_s == s and len(f) == size
     assert hashlib.sha256(repr(f).encode()).hexdigest()[:12] == digest
     assert hyper3_fun_bound(h) == Hyper3Report(s_index, s, f, size, True)
+
+
+@pytest.mark.parametrize("h,thick", [
+    (fixture_fly(), True), (fixture_windmill(), True), (fixture_broken_windmill(), True),
+    (random_3_hypergraph(60, 80, 0), False),
+], ids=["fly", "windmill", "broken-windmill", "random-60-80"])
+def test_bound_builds_the_incidence_table_once(h, thick, monkeypatch):
+    host = intersection_graph(h)
+    calls = []
+    monkeypatch.setattr(hyper3, "incidence_masks",
+                        lambda n, edges: calls.append(n) or incidence_masks(n, edges))
+    assert hyper3_fun_bound(h, host=host).thick_case == thick
+    assert len(calls) == 1
