@@ -332,10 +332,17 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     Rejects graphs above ``exact_limit``; use fun_graph_lower for those.
     graph.hereditary_max_min scores each subset H as a vertex mask of G and
     stops at the first size whose bound floor((|H|-1)/2) cannot beat the
-    best value.  Its search cuts a node whose newest included vertex has
-    degree or co-degree among the candidates at most the best value.  The
-    winning subset is searched again with no floor, and its witness is
-    certified on G restricted to that subset.
+    best value.  Its search peels each node's candidates to their core
+    (Batagelj and Zaversnik's generalised cores): it keeps dropping every
+    vertex whose degree or co-degree among the remaining candidates is at
+    most the best value, and cuts the node once a dropped vertex is
+    included.  Both only fall as vertices go, and N(y) and its complement
+    are supports, so the first vertex of H to be dropped has fun_H at most
+    the best value: no H that beats it loses a vertex.  Every subset the
+    peeling removes would fail the degree check of ``_min_fun_over``, so
+    the hitting-set searches are the same.  The winning subset is searched
+    again with no floor, and its witness is certified on G restricted to
+    that subset.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
@@ -352,12 +359,24 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     rows = g.rows
 
     def dead(inc: int, cand: int, floor: int) -> int:
-        # The newest member v of inc: its degree and co-degree in G[cand]
-        # cap fun_H(v) for every H it lies in, since N(v) and its complement
-        # are supports.
-        v = inc.bit_length() - 1
-        d = (rows[v] & cand).bit_count()
-        return 0 if floor < d < cand.bit_count() - 1 - floor else 1 << v
+        # Peel cand to its core (see above); passes repeat until one drops
+        # nothing, since a drop can doom a vertex the pass already kept.
+        alive, last = cand, cand.bit_count() - 1
+        peeled = True
+        while peeled:
+            peeled = False
+            rest = alive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = (rows[low.bit_length() - 1] & alive).bit_count()
+                if d <= floor or last - d <= floor:
+                    if low & inc:
+                        return cand
+                    alive ^= low
+                    last -= 1
+                    peeled = True
+        return cand ^ alive
 
     _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
     among = mask_of(best_subset)

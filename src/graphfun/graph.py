@@ -245,12 +245,23 @@ def hereditary_max_min(
     unasked, since its answer is exact.  The best value only grows, so a
     subset cut at floor f would have been rejected at its own turn: the
     surviving subsets are scored in the old order, with the same floors,
-    and the first attaining subset is unchanged.  The search keeps an
+    and the first attaining subset is unchanged.
+
+    A child's ``cand`` does not depend on the size being searched, so the
+    same child comes back at every size.  ``dead`` must be a pure function
+    of (inc, cand, floor); its answers are kept in a dict keyed by (inc,
+    cand) and emptied whenever the best value rises, so each triple is
+    asked once and a kept answer is the one a new call would give.  A
+    child with size - 1 members is a leaf one size down, so its answer is
+    not kept.  The sweep visits the same nodes and scores the same subsets
+    with the same floors as one that asks every time.  The search keeps an
     explicit stack, so its depth is not bound by the interpreter's
-    recursion limit, and it keeps nothing from one call to the next.
+    recursion limit, and the dict lives for one call only.
     """
     best_value = -1
     best_mask = None
+    # dead's answer per (child, child's cand), for the current best value.
+    asked: dict[tuple[int, int], int] = {}
     for size in range(g.n, min_size - 1, -1):
         if bound(size) <= best_value:
             break
@@ -265,6 +276,7 @@ def hereditary_max_min(
                 value = score(cand, best_value)
                 if value is not None:
                     best_value, best_mask = value, cand
+                    asked.clear()
                 continue
             # Past child j = room too few candidates would be left.
             free = cand ^ inc
@@ -276,13 +288,22 @@ def hereditary_max_min(
                     value = score(inc | low, best_value)
                     if value is not None:
                         best_value, best_mask = value, inc | low
+                        asked.clear()
                 continue
+            # One size down these children are leaves, which score takes
+            # unasked, so an answer about them would never be read again.
+            keep = count + 2 < size
             children = []
             for _ in range(room + 1):
                 low = free & -free
                 child, child_cand = inc | low, inc | free
                 free ^= low
-                cut = dead(child, child_cand, best_value)
+                key = (child, child_cand)
+                cut = asked.get(key)
+                if cut is None:
+                    cut = dead(child, child_cand, best_value)
+                    if keep:
+                        asked[key] = cut
                 if not cut & child:
                     children.append((child, count + 1, child_cand & ~cut))
             # Reversed, so that the lowest child pops first.

@@ -7,15 +7,15 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphfun import functionality, symdiff
 from graphfun.families import IntervalSet, random_graph, unit_interval_graph
 from graphfun.functionality import _min_fun_over, fun_graph, is_function_of
-from graphfun.graph import Graph, induced_subgraph, mask_of
+from graphfun.graph import Graph, _bits, hereditary_max_min, induced_subgraph, mask_of
 from graphfun.naive import naive_fun_vertex, naive_min_fun, naive_min_sd
-from graphfun.symdiff import sd_graph
+from graphfun.symdiff import min_sd, sd_graph
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,15 +120,16 @@ def test_sweeps_are_reproduced(name):
     assert (s.value, s.pair, sorted(s.subgraph)) == golden_sd
 
 
-def _dead_rule(module, solver, g):
-    """The ``dead`` callable that ``solver`` hands graph.hereditary_max_min
-    for ``g``, caught by wrapping the sweep while ``solver`` runs."""
+def _sweep_args(module, solver, g):
+    """The (min_size, bound, score, dead) that ``solver`` hands
+    graph.hereditary_max_min for ``g``, caught by wrapping the sweep while
+    ``solver`` runs."""
     caught = []
     sweep = module.hereditary_max_min
 
-    def catch(g, min_size, bound, score, dead):
-        caught.append(dead)
-        return sweep(g, min_size, bound, score, dead)
+    def catch(g, *args):
+        caught.append(args)
+        return sweep(g, *args)
 
     module.hereditary_max_min = catch
     try:
@@ -154,6 +155,11 @@ RULES = {
     pick_inc=st.integers(min_value=1, max_value=2**7 - 1),
     floor=st.integers(min_value=-1, max_value=3),
 )
+# fun's core rule: vertex 4 is dropped only once vertex 3 is gone ...
+@example(n=7, p=0.5, seed=9, pick_cand=127, pick_inc=0b11, floor=0)
+# ... and vertex 0 of inc only once vertices 2 and 3 are gone, so the
+# answer is all of cand.
+@example(n=4, p=0.2, seed=1, pick_cand=15, pick_inc=0b1, floor=0)
 def test_dead_rules_are_sound(rule, n, p, seed, pick_cand, pick_inc, floor):
     """Every H with inc ⊆ H ⊆ cand that holds a dropped vertex has naive
     min at most ``floor``; when the drop meets inc, that is every such H."""
@@ -161,7 +167,7 @@ def test_dead_rules_are_sound(rule, n, p, seed, pick_cand, pick_inc, floor):
     g = random_graph(n, p, seed)
     inc = pick_inc & ((1 << n) - 1) or 1
     cand = inc | (pick_cand & ((1 << n) - 1))
-    dead = _dead_rule(module, solver, g)
+    dead = _sweep_args(module, solver, g)[-1]
     dropped = dead(inc, cand, floor)
     assert dropped & ~cand == 0
     free = [v for v in range(n) if (cand & ~inc) >> v & 1]
@@ -172,6 +178,18 @@ def test_dead_rules_are_sound(rule, n, p, seed, pick_cand, pick_inc, floor):
                 continue
             sub, _ = induced_subgraph(g, [v for v in range(n) if h >> v & 1])
             assert naive_min(sub) <= floor
+
+
+@pytest.mark.parametrize("n, p, seed, inc, dropped", [
+    (7, 0.5, 9, 0b11, 0b11000),
+    (4, 0.2, 1, 0b1, 0b1111),
+])
+def test_fun_rule_peels_to_the_core(n, p, seed, inc, dropped):
+    """On the examples of test_dead_rules_are_sound, fun_graph's rule drops
+    the vertices that only die after another one is peeled."""
+    g = random_graph(n, p, seed)
+    dead = _sweep_args(functionality, fun_graph, g)[-1]
+    assert dead(inc, (1 << n) - 1, 0) == dropped
 
 
 def _plain_sweep(n, min_size, score):
@@ -212,6 +230,84 @@ def test_sweeps_match_plain_combinations_sweep(n, p, seed):
     assert (f.value, f.subgraph) == _plain_sweep(n, 1, lambda m, fl: _fun_score(g, m, fl))
     s = sd_graph(g)
     assert (s.value, s.subgraph) == _plain_sweep(n, 2, lambda m, fl: _pairwise_sd(g, m, fl))
+    sub, mapping = induced_subgraph(g, s.subgraph)
+    inner = min_sd(sub)
+    assert s.pair == (mapping[inner.pair[0]], mapping[inner.pair[1]])
+
+
+def _parent_sweep(g, min_size, bound, score, dead):
+    """graph.hereditary_max_min before it kept ``dead``'s answers: the same
+    search, asking ``dead`` at every node it makes."""
+    best_value = -1
+    best_mask = None
+    for size in range(g.n, min_size - 1, -1):
+        if bound(size) <= best_value:
+            break
+        stack = [(0, 0, (1 << g.n) - 1)]
+        while stack:
+            inc, count, cand = stack.pop()
+            room = cand.bit_count() - size
+            if room < 0:
+                continue
+            if room == 0:
+                value = score(cand, best_value)
+                if value is not None:
+                    best_value, best_mask = value, cand
+                continue
+            free = cand ^ inc
+            if count + 1 == size:
+                for _ in range(room + 1):
+                    low = free & -free
+                    free ^= low
+                    value = score(inc | low, best_value)
+                    if value is not None:
+                        best_value, best_mask = value, inc | low
+                continue
+            children = []
+            for _ in range(room + 1):
+                low = free & -free
+                child, child_cand = inc | low, inc | free
+                free ^= low
+                cut = dead(child, child_cand, best_value)
+                if not cut & child:
+                    children.append((child, count + 1, child_cand & ~cut))
+            children.reverse()
+            stack += children
+    return best_value, tuple(_bits(best_mask))
+
+
+@pytest.mark.parametrize("rule", list(RULES))
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_kept_answers_change_no_scoring(rule, n, p, seed):
+    """With each solver's own score and dead, the sweep scores the same
+    (mask, floor) sequence as the parent loop, and asks dead about each
+    (inc, cand, floor) at most once."""
+    module, solver, _, _ = RULES[rule]
+    g = random_graph(n, p, seed)
+    min_size, bound, score, dead = _sweep_args(module, solver, g)
+    results, scored, asked = [], [], []
+    for sweep in (_parent_sweep, hereditary_max_min):
+        scored.append([])
+        asked.append([])
+
+        def logged_score(mask, floor):
+            scored[-1].append((mask, floor))
+            return score(mask, floor)
+
+        def logged_dead(inc, cand, floor):
+            asked[-1].append((inc, cand, floor))
+            return dead(inc, cand, floor)
+
+        results.append(sweep(g, min_size, bound, logged_score, logged_dead))
+    assert results[0] == results[1]
+    assert scored[0] == scored[1]
+    assert len(set(asked[1])) == len(asked[1])
+    assert set(asked[1]) == set(asked[0])
 
 
 def test_deep_search_ignores_the_recursion_limit():
