@@ -213,29 +213,30 @@ def _cmd_witness(args) -> tuple[dict, str, int]:
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}", EXIT_PARSE) from exc
     if args.kind == "unit-interval":
-        host = families.unit_interval_graph(instance)
-        t, value = witnesses.unit_interval_pair(instance, host=host)
+        t, value = witnesses.unit_interval_pair(instance)
         payload = {"t": t, "sd_value": value,
-                   "sum_sd": witnesses.sum_sd_consecutive(instance, host=host)}
+                   "sum_sd": witnesses.sum_sd_consecutive(instance)}
         return payload, _digest(text), EXIT_OK
     if args.kind == "permutation":
-        host = families.permutation_graph(instance)
-        w = witnesses.permutation_witness(instance, host=host)
+        w = witnesses.permutation_witness(instance)
         payload = _witness_payload(w)
         payload["terms"] = [list(t) for t in w.terms]
         payload["support_size"] = len(set(w.support))
         if args.recheck:
-            payload["recheck"] = w.verify(host)
+            payload["recheck"] = w.verify(instance.graph)
             if not payload["recheck"]:
                 return payload, _digest(text), EXIT_VIOLATION
         return payload, _digest(text), EXIT_OK
     # line-graph
-    host = families.line_graph(instance)
-    w = witnesses.line_graph_witness(instance, tuple(args.edge), host=host)
+    line = families.line_graph(instance)
+    u, v = sorted(args.edge)
+    if not instance.has_edge(u, v):
+        raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
+    w = witnesses.line_graph_witness(line, (u, v))
     payload = _witness_payload(w)
     payload["terms"] = [list(t) for t in w.terms]
     if args.recheck:
-        payload["recheck"] = w.verify(host[0])
+        payload["recheck"] = w.verify(line[0])
         if not payload["recheck"]:
             return payload, _digest(text), EXIT_VIOLATION
     return payload, _digest(text), EXIT_OK
@@ -248,8 +249,8 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
     except ValueError as exc:
         raise CliError(f"{args.hypergraphfile}: {exc}", EXIT_PARSE) from exc
     if args.mode == "bound":
-        host = hyper3.intersection_graph(h)
-        report = hyper3.hyper3_fun_bound(h, host=host)
+        ig, _ = hyper3.intersection_graph(h)
+        report = hyper3.hyper3_fun_bound(h)
         payload = {
             "s_index": report.s_index,
             "s": list(report.s),
@@ -259,7 +260,7 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
         }
         if args.recheck:
             payload["recheck"] = (
-                is_function_of(host[0], report.s_index, report.f_indices) is not None
+                is_function_of(ig, report.s_index, report.f_indices) is not None
             )
             if not payload["recheck"]:
                 return payload, _digest(text), EXIT_VIOLATION

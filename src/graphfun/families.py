@@ -41,6 +41,11 @@ class Permutation:
     def _positions(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.values, start=1)}
 
+    @cached_property
+    def graph(self) -> Graph:
+        """``permutation_graph(self)``, built on first use."""
+        return permutation_graph(self)
+
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -66,6 +71,11 @@ class IntervalSet:
     def n(self) -> int:
         return len(self.lefts)
 
+    @cached_property
+    def graph(self) -> Graph:
+        """``unit_interval_graph(self)``, built on first use."""
+        return unit_interval_graph(self)
+
 
 @dataclass(frozen=True)
 class Hypergraph3:
@@ -90,6 +100,17 @@ class Hypergraph3:
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph3":
         return Hypergraph3(n, tuple(tuple(sorted(e)) for e in edges))
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """``incidence_masks`` of the hyperedges, built on first use."""
+        return tuple(incidence_masks(self.n, self.edges))
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The intersection graph: one vertex per hyperedge in input order,
+        adjacent iff the hyperedges share a ground-set vertex."""
+        return _incidence_graph(self.incidence, self.edges)
 
 
 # --- deterministic constructions -------------------------------------------
@@ -151,11 +172,10 @@ def incidence_masks(n: int, edges: Sequence[tuple[int, ...]]) -> list[int]:
     return inc
 
 
-def _incidence_graph(n: int, edges: Sequence[tuple[int, ...]]) -> Graph:
-    """One vertex per (hyper)edge over ground set 0..n-1, adjacent iff the
-    edges share a vertex: the row of an edge is the OR of its vertices'
-    incidence masks minus itself."""
-    inc = incidence_masks(n, edges)
+def _incidence_graph(inc: Sequence[int], edges: Sequence[tuple[int, ...]]) -> Graph:
+    """One vertex per (hyper)edge, adjacent iff the edges share a vertex,
+    given the edges' ``incidence_masks``: the row of an edge is the OR of
+    its vertices' incidence masks minus itself."""
     rows = []
     bit = 1
     for e in edges:
@@ -173,7 +193,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     edge_names = tuple(g.edges())
     if not edge_names:
         raise ValueError("line graph of an edgeless graph is undefined")
-    return _incidence_graph(g.n, edge_names), edge_names
+    return _incidence_graph(incidence_masks(g.n, edge_names), edge_names), edge_names
 
 
 def shattering_graph(n: int) -> Graph:

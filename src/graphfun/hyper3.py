@@ -9,7 +9,7 @@ structures (fly, windmill, broken windmill), each yielding an F of size at
 most 128 around a particular hyperedge.
 
 Every query for the hyperedges that contain or meet given vertices is a
-few AND / XOR / popcount operations on ``families.incidence_masks``, the
+few AND / XOR / popcount operations on ``Hypergraph3.incidence``, the
 mask of hyperedge indices at each vertex.  Only ``_verify_structure``, the
 independent check of a found structure, works on vertex sets.
 """
@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .families import Hypergraph3, _incidence_graph, incidence_masks
+from .families import Hypergraph3
 from .functionality import is_function_of
 from .graph import Graph, _bits
 
@@ -76,16 +76,12 @@ def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int
     hyperedges share a ground-set vertex."""
     if not h.edges:
         raise ValueError("intersection graph of an empty hypergraph is undefined")
-    return _incidence_graph(h.n, h.edges), h.edges
+    return h.graph, h.edges
 
 
 def thick_pairs(h: Hypergraph3) -> list[ThickPair]:
     """Vertex pairs lying together in at least THICK_THRESHOLD hyperedges."""
-    return _thick_pairs(h, incidence_masks(h.n, h.edges))
-
-
-def _thick_pairs(h: Hypergraph3, inc: list[int]) -> list[ThickPair]:
-    """thick_pairs given h's ``incidence_masks``."""
+    inc = h.incidence
     pairs = sorted({p for e in h.edges for p in itertools.combinations(sorted(e), 2)})
     counts = ((u, v, (inc[u] & inc[v]).bit_count()) for u, v in pairs)
     return [ThickPair(u, v, c) for u, v, c in counts if c >= THICK_THRESHOLD]
@@ -119,7 +115,7 @@ def matching_or_cover(h: Hypergraph3, v: int) -> MatchingOrCover:
     ground set has fewer than 5."""
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range 0..{h.n - 1}")
-    matching = _greedy_matching(_links(h, v, incidence_masks(h.n, h.edges)[v]))
+    matching = _greedy_matching(_links(h, v, h.incidence[v]))
     if len(matching) >= 3:
         return MatchingOrCover("matching", tuple(h.edges[idx] for _, idx in matching[:3]))
     covered = sorted({u for pair, _ in matching for u in pair})
@@ -128,35 +124,19 @@ def matching_or_cover(h: Hypergraph3, v: int) -> MatchingOrCover:
     return MatchingOrCover("cover", cover=tuple(covered))
 
 
-Host = tuple[Graph, tuple[tuple[int, int, int], ...]]
-
-
-def _prepared(h: Hypergraph3, host: Optional[Host]) -> Host:
-    """``host``, the ``intersection_graph(h)`` pair a caller built, checked
-    against h; built here when None."""
-    if host is None:
-        return intersection_graph(h)
-    if host[0].n != len(h.edges):
-        raise ValueError(f"host has {host[0].n} vertices for {len(h.edges)} hyperedges")
-    return host
-
-
-def witness_no_thick(h: Hypergraph3, s, *, host: Optional[Host] = None) -> tuple[int, ...]:
+def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     """Determining set F around hyperedge s, |F| <= 462, for hypergraphs
-    without thick pairs.  Verified by replay on ``host`` (the
-    ``intersection_graph(h)`` pair, built when None) before returning."""
-    inc = incidence_masks(h.n, h.edges)
-    if _thick_pairs(h, inc):
+    without thick pairs.  Verified by replay on ``h.graph`` before
+    returning."""
+    if thick_pairs(h):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
-    return _witness_no_thick(h, inc, s, host)
+    return _witness_no_thick(h, s)
 
 
-def _witness_no_thick(h: Hypergraph3, inc: list[int], s,
-                      host: Optional[Host]) -> tuple[int, ...]:
+def _witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     """witness_no_thick for a hypergraph already known to have no thick
-    pair, given its ``incidence_masks``.  F is a mask of hyperedge indices
-    throughout."""
-    edges = h.edges
+    pair.  F is a mask of hyperedge indices throughout."""
+    edges, inc = h.edges, h.incidence
     s_key = tuple(sorted(s))
     s_idx = edges.index(s_key)
     not_s = ~(1 << s_idx)
@@ -185,7 +165,7 @@ def _witness_no_thick(h: Hypergraph3, inc: list[int], s,
             f |= inc[v] & covered & not_s
 
     f_indices = tuple(_bits(f))
-    if is_function_of(_prepared(h, host)[0], s_idx, f_indices) is None:
+    if is_function_of(h.graph, s_idx, f_indices) is None:
         raise RuntimeError("no-thick-pair witness failed verification")
     return f_indices
 
@@ -248,16 +228,15 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     the scan; whatever is returned has been re-checked against the
     structure definitions.
     """
-    inc = incidence_masks(h.n, h.edges)
-    return _find_thick_structure(h, inc, _thick_pairs(h, inc))
+    return _find_thick_structure(h, thick_pairs(h))
 
 
-def _find_thick_structure(h: Hypergraph3, inc: list[int], thick: list[ThickPair]) -> ThickStructure:
-    """find_thick_structure given h's ``incidence_masks`` and ``thick_pairs``."""
+def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStructure:
+    """find_thick_structure given h's ``thick_pairs``."""
     if not thick:
         raise ValueError("hypergraph has no thick pair")
     thick_set = {(p.u, p.v) for p in thick}
-    edges = h.edges
+    edges, inc = h.edges, h.incidence
 
     def with_pair(a: int, b: int, x: int) -> list[tuple[int, int, int]]:
         """Hyperedges through a and b but not x, in input order."""
@@ -321,21 +300,16 @@ def _find_thick_structure(h: Hypergraph3, inc: list[int], thick: list[ThickPair]
     raise RuntimeError("no verifiable thick structure found")
 
 
-def witness_thick(
-    h: Hypergraph3, *, host: Optional[Host] = None
-) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+def witness_thick(h: Hypergraph3) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
-    pair.  Verified by replay on ``host`` (the ``intersection_graph(h)``
-    pair, built when None) before returning."""
-    inc = incidence_masks(h.n, h.edges)
-    return _witness_thick(h, inc, _find_thick_structure(h, inc, _thick_pairs(h, inc)), host)
+    pair.  Verified by replay on ``h.graph`` before returning."""
+    return _witness_thick(h, find_thick_structure(h))
 
 
 def _witness_thick(
-    h: Hypergraph3, inc: list[int], st: ThickStructure, host: Optional[Host]
+    h: Hypergraph3, st: ThickStructure
 ) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """witness_thick around the thick structure ``st`` already found in h,
-    given h's ``incidence_masks``."""
+    """witness_thick around the thick structure ``st`` already found in h."""
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
     s_key = tuple(sorted(st.s))
@@ -360,32 +334,29 @@ def _witness_thick(
         for combo in itertools.product(*wings):
             add_if_present(combo)
     else:
-        f.update(_bits(inc[v1] & ~(1 << index[s_key])))
+        f.update(_bits(h.incidence[v1] & ~(1 << index[s_key])))
         f.update(index[p] for p in st.parts)
         add_if_present(set().union(*map(set, st.parts)) - {v2, v3})
 
-    if is_function_of(_prepared(h, host)[0], index[s_key], f) is None:
+    if is_function_of(h.graph, index[s_key], f) is None:
         raise RuntimeError("thick-pair witness failed verification")
     return st.s, tuple(sorted(f))
 
 
-def hyper3_fun_bound(h: Hypergraph3, *, host: Optional[Host] = None) -> Hyper3Report:
+def hyper3_fun_bound(h: Hypergraph3) -> Hyper3Report:
     """Certified functionality bound for one vertex of the intersection
     graph: the no-thick-pair construction around the first hyperedge, or
     the structural construction when a thick pair exists.  The witness is
-    verified on ``host`` (the ``intersection_graph(h)`` pair, built when
-    None)."""
+    verified on ``h.graph``."""
     if not h.edges:
         raise ValueError("need at least one hyperedge")
-    host = _prepared(h, host)
-    inc = incidence_masks(h.n, h.edges)
-    thick = _thick_pairs(h, inc)
+    thick = thick_pairs(h)
     if thick:
-        s, f = _witness_thick(h, inc, _find_thick_structure(h, inc, thick), host)
+        s, f = _witness_thick(h, _find_thick_structure(h, thick))
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = _witness_no_thick(h, inc, s, host)
+    f = _witness_no_thick(h, s)
     return Hyper3Report(0, s, f, len(f), False)
 
 

@@ -11,6 +11,10 @@ Concrete syntax (whitespace between tokens is ignored):
 INT is a positive base-10 label, NAME is [A-Za-z0-9_]+.  'u' is disjoint
 union, eta(i,j,...) connects every i-labelled vertex to every j-labelled
 vertex, rho(i,j,...) renames label i to j.
+
+The parser, printer and evaluator recurse once per nesting level, so an
+expression may nest at most MAX_DEPTH levels: ``parse`` rejects deeper text
+and ``random_kexpression`` refuses to build a deeper tree.
 """
 from __future__ import annotations
 
@@ -20,6 +24,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .graph import Graph
+
+# Leaves 100 frames of Python's default recursion limit of 1000 to callers.
+MAX_DEPTH = 900
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,9 @@ class _Parser:
         self.names.add(tok)
         return tok
 
-    def expr(self) -> KExpression:
+    def expr(self, depth: int = 1) -> KExpression:
+        if depth > MAX_DEPTH:
+            self.error("expression nested too deeply")
         head = self.peek()
         if head == "node":
             self.pos += 1
@@ -138,9 +147,9 @@ class _Parser:
         if head == "u":
             self.pos += 1
             self.expect("(")
-            left = self.expr()
+            left = self.expr(depth + 1)
             self.expect(",")
-            right = self.expr()
+            right = self.expr(depth + 1)
             self.expect(")")
             return UnionNode(left, right)
         if head in ("eta", "rho"):
@@ -150,7 +159,7 @@ class _Parser:
             self.expect(",")
             j = self.int_token()
             self.expect(",")
-            sub = self.expr()
+            sub = self.expr(depth + 1)
             self.expect(")")
             if head == "eta":
                 if i == j:
@@ -162,10 +171,7 @@ class _Parser:
 
 def parse(text: str) -> KExpression:
     p = _Parser(text)
-    try:
-        tree = p.expr()
-    except RecursionError:
-        p.error("expression nested too deeply")
+    tree = p.expr()
     if p.pos != len(p.tokens):
         p.error(f"trailing input {p.peek()!r}")
     return tree
@@ -257,7 +263,10 @@ def check_fun_cwd_bound(e: KExpression) -> CwdBoundReport:
 
 
 def random_kexpression(k: int, ops: int, seed: int) -> KExpression:
-    """Seeded random expression with ``ops`` operations over labels 1..k."""
+    """Seeded random expression with ``ops`` operations over labels 1..k.
+    Each operation after the first adds one nesting level (a union adds
+    two operations); a tree that would nest deeper than MAX_DEPTH raises
+    ``ValueError``."""
     if k < 1 or ops < 1:
         raise ValueError("need k >= 1 and ops >= 1")
     rng = random.Random(seed)
@@ -269,13 +278,17 @@ def random_kexpression(k: int, ops: int, seed: int) -> KExpression:
         return Create(rng.randint(1, k), f"v{counter}")
 
     tree: KExpression = fresh()
-    ops_used = 1
+    ops_used = depth = 1
     while ops_used < ops:
         choices = ["eta", "rho"] if k > 1 else []
         if ops_used + 2 <= ops:
             choices.append("union")
         if not choices:
             break
+        if depth == MAX_DEPTH:
+            raise ValueError(f"{ops} operations nest deeper than the limit of "
+                             f"{MAX_DEPTH} levels")
+        depth += 1
         kind = rng.choice(choices)
         if kind == "union":
             tree = UnionNode(tree, fresh())

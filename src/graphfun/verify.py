@@ -16,12 +16,10 @@ from .families import (
     Hypergraph3,
     IntervalSet,
     hypercube,
-    permutation_graph,
     random_graph,
     random_permutation,
     random_unit_intervals,
     sd_construction,
-    unit_interval_graph,
 )
 from .functionality import _fun_search, fun_graph, fun_vertex, min_fun
 from .graph import Graph, induced_subgraph, is_twin_pair
@@ -75,16 +73,15 @@ def verify_unit_interval(seed: int = 0, cases: int = 100, **_ignored) -> tuple[b
     failures = []
     for i in range(cases):
         iv = _dense_intervals(100, rng.randrange(2**32))
-        host = unit_interval_graph(iv)
-        t, value = witnesses.unit_interval_pair(iv, host=host)
-        total = witnesses.sum_sd_consecutive(iv, host=host)
+        t, value = witnesses.unit_interval_pair(iv)
+        total = witnesses.sum_sd_consecutive(iv)
         if value > 1 or total > 2 * iv.n - 3:
             failures.append({"case": i, "pair_sd": value, "sum_sd": total, "t": t})
     exhaustive = min(cases, 50)
     for i in range(exhaustive):
         n = 4 + i % 7
         iv = random_unit_intervals(n, rng.randrange(2**32))
-        value = fun_graph(unit_interval_graph(iv)).value
+        value = fun_graph(iv.graph).value
         if value > 2:
             failures.append({"case": f"exhaustive-{i}", "n": n, "fun_graph": value})
     return not failures, {
@@ -101,15 +98,14 @@ def verify_permutation(seed: int = 0, cases: int = 100, **_ignored) -> tuple[boo
     for i in range(cases):
         n = rng.randint(13, 200)
         p = random_permutation(n, rng.randrange(2**32))
-        host = permutation_graph(p)
-        w = witnesses.permutation_witness(p, host=host)
+        w = witnesses.permutation_witness(p)
         size = len(set(w.support))
-        if size > 8 or not w.verify(host):
+        if size > 8 or not w.verify(p.graph):
             failures.append({"case": i, "n": n, "support_size": size})
             continue
         if n <= 20:
             checked_exact += 1
-            exact = fun_vertex(host, w.target).value
+            exact = fun_vertex(p.graph, w.target).value
             if exact > 8:
                 failures.append({"case": i, "n": n, "exact_fun": exact})
     return not failures, {
@@ -125,10 +121,10 @@ def verify_line_graph(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool,
     edges_checked = 0
     for i in range(cases):
         g = random_graph(30, 0.3, rng.randrange(2**32))
-        host = families.line_graph(g)
-        for e in host[1]:
+        line = families.line_graph(g)
+        for e in line[1]:
             edges_checked += 1
-            w = witnesses.line_graph_witness(g, e, host=host)
+            w = witnesses.line_graph_witness(line, e)
             if len(w.support) > 6:
                 failures.append({"case": i, "edge": list(e), "support": len(w.support)})
     return not failures, {
@@ -165,7 +161,7 @@ def verify_sd_construction(t: int = 3, **_ignored) -> tuple[bool, dict]:
     results = []
     passed = True
     for tt in range(1, t + 1):
-        g = permutation_graph(sd_construction(tt))
+        g = sd_construction(tt).graph
         value = naive.naive_min_sd(g)
         ok = value >= tt
         passed = passed and ok
@@ -255,11 +251,9 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     max_f = 0
     for i in range(cases):
         h = _no_thick_instance(rng.randrange(2**32))
-        host = hyper3.intersection_graph(h)
-        inc = families.incidence_masks(h.n, h.edges)
         # _no_thick_instance has checked thick_pairs once for the whole h
         for s in h.edges:
-            f = hyper3._witness_no_thick(h, inc, s, host)
+            f = hyper3._witness_no_thick(h, s)
             max_f = max(max_f, len(f))
             if len(f) > hyper3.NO_THICK_WITNESS_BOUND:
                 failures.append({"case": i, "s": list(s), "size": len(f)})
@@ -270,9 +264,8 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     }
     fixture_report = {}
     for kind, h in fixtures.items():
-        inc = families.incidence_masks(h.n, h.edges)
-        st = hyper3._find_thick_structure(h, inc, hyper3._thick_pairs(h, inc))
-        s, f = hyper3._witness_thick(h, inc, st, None)
+        st = hyper3.find_thick_structure(h)
+        s, f = hyper3._witness_thick(h, st)
         fixture_report[kind] = {"found": st.kind, "f_size": len(f)}
         if st.kind != kind or len(f) > hyper3.THICK_WITNESS_BOUND:
             failures.append({"fixture": kind, "found": st.kind, "size": len(f)})

@@ -11,7 +11,7 @@ import bisect
 from dataclasses import dataclass
 
 from .graph import Graph, _bits, mask_of
-from .families import IntervalSet, Permutation, line_graph, permutation_graph, unit_interval_graph
+from .families import IntervalSet, Permutation
 from .symdiff import sd_pair
 
 
@@ -58,27 +58,22 @@ class DnfWitness:
 MIN_INTERVALS = 2
 
 
-def _interval_host(iv: IntervalSet, host: Graph | None) -> Graph:
+def _interval_graph(iv: IntervalSet) -> Graph:
     if iv.n < MIN_INTERVALS:
         raise ValueError(f"need at least {MIN_INTERVALS} intervals")
-    if host is None:
-        return unit_interval_graph(iv)
-    if host.n != iv.n:
-        raise ValueError(f"host has {host.n} vertices for {iv.n} intervals")
-    return host
+    return iv.graph
 
 
-def unit_interval_pair(iv: IntervalSet, *, host: Graph | None = None) -> tuple[int, int]:
+def unit_interval_pair(iv: IntervalSet) -> tuple[int, int]:
     """Consecutive pair (by left endpoint) with the smallest neighbourhood
     symmetric difference.
 
     Returns (t, value) with t 1-based: the pair is the t-th and (t+1)-th
     intervals in left-endpoint order.  On instances without isolated
     vertices the value is at most 1, so both vertices have functionality
-    at most 2.  ``host`` is ``unit_interval_graph(iv)`` when the caller has
-    built it.
+    at most 2.
     """
-    g = _interval_host(iv, host)
+    g = _interval_graph(iv)
     best_t, best_val = 1, sd_pair(g, 0, 1)
     for t in range(2, iv.n):
         val = sd_pair(g, t - 1, t)
@@ -87,11 +82,10 @@ def unit_interval_pair(iv: IntervalSet, *, host: Graph | None = None) -> tuple[i
     return best_t, best_val
 
 
-def sum_sd_consecutive(iv: IntervalSet, *, host: Graph | None = None) -> int:
+def sum_sd_consecutive(iv: IntervalSet) -> int:
     """Sum of |N(v_i) xor N(v_{i+1})| over consecutive pairs; at most
-    2n - 3 when the instance has no isolated vertices.  ``host`` is
-    ``unit_interval_graph(iv)`` when the caller has built it."""
-    g = _interval_host(iv, host)
+    2n - 3 when the instance has no isolated vertices."""
+    g = _interval_graph(iv)
     return sum(sd_pair(g, i, i + 1) for i in range(iv.n - 1))
 
 
@@ -187,7 +181,7 @@ def strict_middle_witness(p: Permutation, x: int) -> DnfWitness:
         raise ValueError(f"point {x} is not a simultaneous strict middle")
     r, b, l, t = found[0][1]
     witness = DnfWitness(x - 1, (r - 1, b - 1, l - 1, t - 1), ((0, 1), (2, 3)))
-    if not witness.verify(permutation_graph(p)):
+    if not witness.verify(p.graph):
         raise RuntimeError("strict middle witness failed verification")
     return witness
 
@@ -209,7 +203,7 @@ def _companions(windows, n: int) -> list[list[tuple[int, int]]]:
     return out
 
 
-def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitness:
+def permutation_witness(p: Permutation) -> DnfWitness:
     """Witness of size at most 8 for some vertex of a permutation graph.
 
     Finds a point that is simultaneously a weak vertical and weak horizontal
@@ -226,9 +220,8 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
     inner), and the first that replays is returned.  One pass over the
     points puts each candidate in the bucket of its size, counted from the
     coincidences among its roles, so no candidate list is sorted and only
-    the candidates replayed get a support tuple.  ``host`` is
-    ``permutation_graph(p)`` when the caller has built it; the witness is
-    verified on it.
+    the candidates replayed get a support tuple.  The witness is verified
+    on ``p.graph``.
     """
     if p.n < MIN_PERMUTATION_POINTS:
         raise ValueError(
@@ -236,10 +229,6 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
             f"{MIN_PERMUTATION_POINTS - 1} vertices has functionality at most 6 "
             "without this construction"
         )
-    if host is None:
-        host = permutation_graph(p)
-    elif host.n != p.n:
-        raise ValueError(f"host has {host.n} vertices for {p.n} points")
     values = p.values
     pos = p.position_of()
     by_position = _companions((sorted(values[a:a + 5]) for a in range(p.n - 4)), p.n)
@@ -266,7 +255,7 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
         for x, support, removed in bucket:
             full = support + tuple(sorted(set(removed)))
             witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
-            if witness.verify(host):
+            if witness.verify(p.graph):
                 return witness
     raise RuntimeError("no simultaneous weak middle point produced a verified witness")
 
@@ -275,40 +264,33 @@ def permutation_witness(p: Permutation, *, host: Graph | None = None) -> DnfWitn
 
 
 def line_graph_witness(
-    g: Graph,
-    x: tuple[int, int],
-    *,
-    host: tuple[Graph, tuple[tuple[int, int], ...]] | None = None,
+    line: tuple[Graph, tuple[tuple[int, int], ...]], x: tuple[int, int]
 ) -> DnfWitness:
     """Witness of size at most 6 for the vertex of L(G) corresponding to
     edge x, built from up to three incident edges at each endpoint.
 
-    An endpoint of degree at least 4 contributes a 3-edge conjunction; a
-    lower-degree endpoint contributes all its other incident edges to the
-    support with no term.  Both terms dropped means the constant-0 function.
-    ``host`` is the ``line_graph(g)`` pair when the caller has built it; the
-    witness is verified on it.
+    ``line`` is the ``line_graph(g)`` pair: L(G) and its vertices' edges of
+    G, in lexicographic order.  An endpoint's degree in G is its incident
+    edges in L(G) plus x.  An endpoint of degree at least 4 contributes a
+    3-edge conjunction; a lower-degree endpoint contributes all its other
+    incident edges to the support with no term.  Both terms dropped means
+    the constant-0 function.
     """
+    lg, names = line
+    if len(names) != lg.n:
+        raise ValueError(f"{len(names)} edge names for a line graph on {lg.n} vertices")
     a, b = min(x), max(x)
-    if not g.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is not an edge")
-    if host is None:
-        host = line_graph(g)
-    lg, names = host
-    if lg.n != g.num_edges() or len(names) != lg.n:
-        raise ValueError(f"host has {lg.n} vertices for {g.num_edges()} edges")
     target = bisect.bisect_left(names, (a, b))
     if target == len(names) or names[target] != (a, b):
-        raise ValueError(f"host does not list edge ({a},{b})")
+        raise ValueError(f"({a},{b}) is not an edge")
     # the edges at a or b other than x, in index order
     touching = [(i, names[i]) for i in _bits(lg.rows[target])]
 
     def side(endpoint: int) -> tuple[list[int], bool]:
         incident = [i for i, e in touching if endpoint in e]
-        if g.degree(endpoint) >= 4:
+        if len(incident) >= 3:
             return incident[:3], True
         return incident, False
-
     y_edges, y_term = side(a)
     z_edges, z_term = side(b)
     support = tuple(y_edges + z_edges)

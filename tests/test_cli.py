@@ -215,7 +215,7 @@ def test_parse_errors(tmp_path, capsys):
 def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     from graphfun import witnesses
 
-    def fail(g, edge, host=None):
+    def fail(line, edge):
         raise RuntimeError("line graph witness failed verification")
 
     monkeypatch.setattr(witnesses, "line_graph_witness", fail)
@@ -254,44 +254,61 @@ def test_parse_error_regressions(tmp_path, capsys):
         assert "above the limit of" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_gen_kexpression_stops_at_the_depth_limit(tmp_path, capsys):
+    from graphfun.kexpr import MAX_DEPTH
+
+    out = tmp_path / "too-deep.kx"
+    assert main(["gen", "kexpression", "--ops", "1400", "--seed", "1", "--out", str(out)]) == 2
+    assert "deeper than the limit" in capsys.readouterr().err and not out.exists()
+    # the deepest tree gen accepts is one kexpr eval accepts
+    deepest = tmp_path / "deepest.kx"
+    argv = ["gen", "kexpression", "--k", "1", "--ops", str(2 * MAX_DEPTH - 1), "--out", str(deepest)]
+    assert run(capsys, argv)[0] == 0
+    code, report = run(capsys, ["kexpr", "eval", str(deepest)])
+    assert code == 0 and report["result"]["n"] == MAX_DEPTH
+    deeper = tmp_path / "deeper.kx"
+    deeper.write_text(f"rho(1,2,{deepest.read_text()})")
+    assert main(["kexpr", "eval", str(deeper)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["line-graph", "permutation", "thick", "no-thick"])
 def test_recheck_builds_the_host_once(tmp_path, capsys, monkeypatch, kind):
-    from graphfun import families, hyper3, verify, witnesses
+    from graphfun import families, hyper3, verify
 
     if kind == "line-graph":
-        modules, name = (families, witnesses), "line_graph"
+        name = "line_graph"
         path = tmp_path / "g.txt"
         write_graph(random_graph(30, 0.3, 5), path)
         u, v = random_graph(30, 0.3, 5).edges()[0]
         argv = ["witness", "line-graph", str(path), "--edge", str(u), str(v)]
     elif kind == "permutation":
-        modules, name = (families, witnesses), "permutation_graph"
+        name = "permutation_graph"
         path = tmp_path / "p.txt"
         path.write_text(families.format_permutation(families.random_permutation(40, 5)))
         argv = ["witness", "permutation", str(path)]
     else:
-        modules, name = (hyper3,), "intersection_graph"
+        name = "_incidence_graph"
         h = hyper3.fixture_fly() if kind == "thick" else verify._no_thick_instance(5)
         path = tmp_path / "h.hyper"
         path.write_text(families.format_hypergraph(h))
         argv = ["hyper3", "bound", str(path)]
     calls = []
-    build = getattr(modules[0], name)
+    build = getattr(families, name)
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return build(*args, **kwargs)
+        return build(*args)
 
-    # witnesses imports its constructors by name, so both references count
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
+    # the instances' cached graphs call the module-level constructors
+    monkeypatch.setattr(families, name, counted)
     code, report = run(capsys, argv + ["--recheck"])
     assert code == 0 and report["result"]["recheck"] is True
     assert len(calls) == 1
 
 
 def test_unit_interval_witness_builds_the_host_once(tmp_path, capsys, monkeypatch):
-    from graphfun import families, verify, witnesses
+    from graphfun import families, verify
 
     calls = []
     build = families.unit_interval_graph
@@ -300,8 +317,7 @@ def test_unit_interval_witness_builds_the_host_once(tmp_path, capsys, monkeypatc
         calls.append(iv)
         return build(iv)
 
-    for module in (families, witnesses, verify):
-        monkeypatch.setattr(module, "unit_interval_graph", counted)
+    monkeypatch.setattr(families, "unit_interval_graph", counted)
     path = tmp_path / "iv.txt"
     path.write_text(families.format_intervals(verify._dense_intervals(20, 3)))
     code, report = run(capsys, ["witness", "unit-interval", str(path)])

@@ -8,11 +8,13 @@ from graphfun.families import (
     Hypergraph3,
     IntervalSet,
     Permutation,
+    _incidence_graph,
     distance_hereditary,
     format_hypergraph,
     format_intervals,
     format_permutation,
     hypercube,
+    incidence_masks,
     line_graph,
     parse_hypergraph,
     parse_intervals,
@@ -88,6 +90,49 @@ def test_line_graph():
     assert lg3.num_edges() == 3
     with pytest.raises(ValueError):
         line_graph(Graph(3, (0, 0, 0)))
+
+
+# (make an instance, {cached member: the constructor it must agree with})
+CACHED = [
+    (lambda: random_permutation(30, 2), {"graph": permutation_graph}),
+    (lambda: random_unit_intervals(20, 3), {"graph": unit_interval_graph}),
+    (lambda: random_3_hypergraph(12, 15, 4), {
+        "incidence": lambda h: tuple(incidence_masks(h.n, h.edges)),
+        "graph": lambda h: _incidence_graph(incidence_masks(h.n, h.edges), h.edges),
+    }),
+]
+CACHED_IDS = ["permutation", "intervals", "hypergraph"]
+
+
+@pytest.mark.parametrize("make, built", CACHED, ids=CACHED_IDS)
+def test_cached_graphs_equal_their_constructors(make, built):
+    instance = make()
+    for name, build in built.items():
+        first = getattr(instance, name)
+        assert first == build(instance)
+        assert getattr(instance, name) is first
+
+
+@pytest.mark.parametrize("make, built", CACHED, ids=CACHED_IDS)
+def test_equality_and_hash_ignore_the_cache(make, built):
+    cached, fresh = make(), make()
+    for name in built:
+        getattr(cached, name)
+    assert cached == fresh and fresh == cached
+    assert hash(cached) == hash(fresh)
+    assert len({cached, fresh}) == 1
+    assert all(name not in vars(fresh) for name in built)
+
+
+def test_hypergraph_incidence_is_immutable():
+    h = random_3_hypergraph(8, 10, 1)
+    inc = h.incidence
+    assert isinstance(inc, tuple)
+    with pytest.raises(TypeError):
+        inc[0] = 0
+    with pytest.raises(AttributeError):
+        h.incidence = ()
+    assert h.incidence is inc
 
 
 def test_shattering_graph_shape():

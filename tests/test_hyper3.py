@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfun import hyper3
+from graphfun import families, hyper3
 from graphfun.families import Hypergraph3, incidence_masks, random_3_hypergraph
 from graphfun.functionality import is_function_of
 from graphfun.graph import Graph
@@ -206,21 +206,6 @@ def test_no_thick_instance_is_bounded(monkeypatch):
         verify._no_thick_instance(0)
 
 
-def test_hyper3_host_of_the_wrong_size_is_rejected():
-    fly = fixture_fly()
-    disjoint = Hypergraph3.from_edges(12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
-    wrong = intersection_graph(Hypergraph3.from_edges(6, [(0, 1, 2), (3, 4, 5)]))
-    with pytest.raises(ValueError, match="host"):
-        hyper3_fun_bound(fly, host=wrong)
-    with pytest.raises(ValueError, match="host"):
-        hyper3_fun_bound(disjoint, host=wrong)
-    with pytest.raises(ValueError, match="host"):
-        witness_thick(fly, host=wrong)
-    with pytest.raises(ValueError, match="host"):
-        witness_no_thick(disjoint, (0, 1, 2), host=wrong)
-    assert hyper3_fun_bound(fly, host=intersection_graph(fly)) == hyper3_fun_bound(fly)
-
-
 # --- set-based references: one Python set test per hyperedge -----------------
 
 
@@ -290,9 +275,8 @@ def test_incidence_masks_match_set_references(case):
     assert thick_pairs(h) == []
     for v in range(n):
         assert matching_or_cover(h, v) == _ref_matching_or_cover(h, v)
-    inc = incidence_masks(n, h.edges)
     for s in h.edges:
-        assert hyper3._witness_no_thick(h, inc, s, None) == _ref_witness_no_thick(h, s)
+        assert hyper3._witness_no_thick(h, s) == _ref_witness_no_thick(h, s)
 
 
 # --- golden pins of the thick-pair constructions ------------------------------
@@ -358,9 +342,10 @@ def test_thick_constructions_are_pinned(instance, structure, witness):
     (random_3_hypergraph(60, 80, 0), False),
 ], ids=["fly", "windmill", "broken-windmill", "random-60-80"])
 def test_bound_builds_the_incidence_table_once(h, thick, monkeypatch):
-    host = intersection_graph(h)
+    h = Hypergraph3(h.n, h.edges)  # nothing cached yet
     calls = []
-    monkeypatch.setattr(hyper3, "incidence_masks",
+    monkeypatch.setattr(families, "incidence_masks",
                         lambda n, edges: calls.append(n) or incidence_masks(n, edges))
-    assert hyper3_fun_bound(h, host=host).thick_case == thick
+    intersection_graph(h)
+    assert hyper3_fun_bound(h).thick_case == thick
     assert len(calls) == 1

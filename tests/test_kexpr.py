@@ -99,3 +99,24 @@ def test_random_kexpression_rejects_bad_params():
         random_kexpression(0, 5, 0)
     with pytest.raises(ValueError):
         random_kexpression(2, 0, 0)
+
+
+def _depth(e):
+    depth = 1
+    while not isinstance(e, Create):
+        e = e.left if isinstance(e, UnionNode) else e.sub
+        depth += 1
+    return depth
+
+
+def test_one_depth_limit_for_parse_and_generation():
+    # with one label every step is a union: two operations, one level
+    deepest = random_kexpression(1, 2 * kexpr.MAX_DEPTH - 1, 0)
+    assert _depth(deepest) == kexpr.MAX_DEPTH
+    text = to_text(deepest)
+    # dataclass == recurses several frames per level, so compare texts
+    assert to_text(parse(text)) == text
+    with pytest.raises(KExprError, match="nested too deeply"):
+        parse(f"rho(1,2,{text})")
+    with pytest.raises(ValueError, match="deeper than the limit"):
+        random_kexpression(1, 2 * kexpr.MAX_DEPTH + 1, 0)

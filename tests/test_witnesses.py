@@ -166,36 +166,38 @@ def test_permutation_witness_random_and_exact_crosscheck():
 
 
 def test_line_graph_witness_k5():
-    w = line_graph_witness(complete(5), (0, 1))
+    w = line_graph_witness(line_graph(complete(5)), (0, 1))
     assert len(w.support) == 6
     assert len(w.terms) == 2
 
 
 def test_line_graph_witness_star():
     star = Graph.from_edge_list(6, [(0, i) for i in range(1, 6)])
-    w = line_graph_witness(star, (0, 1))
+    w = line_graph_witness(line_graph(star), (0, 1))
     assert len(w.support) == 3
     assert w.terms == ((0, 1, 2),)
 
 
 def test_line_graph_witness_k2():
-    w = line_graph_witness(Graph.from_edge_list(2, [(0, 1)]), (0, 1))
+    w = line_graph_witness(line_graph(Graph.from_edge_list(2, [(0, 1)])), (0, 1))
     assert w.support == () and w.terms == ()
 
 
 def test_line_graph_witness_rejects_non_edge():
     with pytest.raises(ValueError):
-        line_graph_witness(complete(3), (0, 3))
+        line_graph_witness(line_graph(complete(3)), (0, 3))
 
 
 def test_line_graph_witness_every_edge_random():
     for seed in range(3):
         g = random_graph(15, 0.4, seed)
-        lg, _ = line_graph(g)
-        for e in g.edges():
-            w = line_graph_witness(g, e)
+        line = line_graph(g)
+        for a, b in g.edges():
+            w = line_graph_witness(line, (a, b))
             assert len(w.support) <= 6
-            assert w.verify(lg)
+            assert w.verify(line[0])
+            # an endpoint of degree at least 4 in G gives one term
+            assert len(w.terms) == (g.degree(a) >= 4) + (g.degree(b) >= 4)
 
 
 # (target, support, terms) of permutation_witness(random_permutation(n, n)),
@@ -217,27 +219,12 @@ def test_permutation_witness_is_reproduced(n):
     p = random_permutation(n, n)
     w = permutation_witness(p)
     assert (w.target, w.support, w.terms) == GOLDEN_PERMUTATION_WITNESSES[n]
-    assert permutation_witness(p, host=permutation_graph(p)) == w
 
 
-def test_witness_host_of_the_wrong_size_is_rejected():
-    g = complete(5)
-    lg, names = line_graph(g)
-    smaller = line_graph(complete(4))
-    with pytest.raises(ValueError, match="host"):
-        line_graph_witness(g, (0, 1), host=smaller)
-    with pytest.raises(ValueError, match="host"):
-        line_graph_witness(g, (0, 1), host=(lg, names[:-1]))
-    assert line_graph_witness(g, (0, 1), host=(lg, names)) == line_graph_witness(g, (0, 1))
-    p = random_permutation(20, 1)
-    with pytest.raises(ValueError, match="host"):
-        permutation_witness(p, host=permutation_graph(random_permutation(21, 1)))
-    iv = IntervalSet((Fraction(0), Fraction(1, 3), Fraction(5, 7)))
-    wrong = unit_interval_graph(IntervalSet(iv.lefts[:2]))
-    for builder in (unit_interval_pair, sum_sd_consecutive):
-        with pytest.raises(ValueError, match="host"):
-            builder(iv, host=wrong)
-        assert builder(iv, host=unit_interval_graph(iv)) == builder(iv)
+def test_line_graph_witness_rejects_mismatched_names():
+    lg, names = line_graph(complete(5))
+    with pytest.raises(ValueError, match="9 edge names for a line graph on 10 vertices"):
+        line_graph_witness((lg, names[:-1]), (0, 1))
 
 
 def _reference_permutation_witness(p):
