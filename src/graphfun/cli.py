@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One JSON report object goes to standard output; a short human summary goes
-to standard error.  Exit codes: 0 success/verified, 1 property violated
-(including an internal check that failed, such as a witness that does not
-replay: its message goes to standard error and no report is written),
-2 usage/configuration error, 3 input parse error.
+to standard error.  Exit codes: 0 success/verified, 1 property violated (a
+report whose ``recheck`` or ``passed`` is false, or an internal check that
+failed, such as a witness that does not replay: its message goes to
+standard error and no report is written), 2 usage/configuration error,
+3 input parse error (any input file its parser rejects).
 
 All randomness flows through ``random.Random`` (the Mersenne Twister from
 the Python standard library) seeded from ``--seed``; the generator identity
@@ -47,42 +48,24 @@ def _digest(*chunks: str) -> str:
     return h.hexdigest()
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """(parse(text), text) for the file at ``path``.  A file that cannot be
+    read or decoded, or that ``parse`` rejects with a ValueError, is an
+    input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
-
-
-def _parse_graph_file(path: str):
-    text = _read_text(path)
-    try:
-        return parse_graph(text), text
-    except (GraphFormatError, ValueError) as exc:
+            text = fh.read()
+        return parse(text), text
+    except (OSError, ValueError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
-def _witness_payload(w) -> dict:
-    return {
-        "target": w.target,
-        "support": list(w.support),
-    }
-
-
-def _fun_result_payload(res) -> dict:
-    return {
-        "value": res.value,
-        "witness_vertex": res.witness_vertex,
-        "witness_set": sorted(res.witness_set),
-        "subgraph": sorted(res.subgraph) if res.subgraph is not None else None,
-    }
-
-
 # --- subcommand handlers ----------------------------------------------------
+#
+# Each handler returns (result, digest chunks); main picks the exit code.
 
 
-def _cmd_gen(args) -> tuple[dict, str, int]:
+def _cmd_gen(args) -> tuple[dict, tuple[str, ...]]:
     fam = args.family
     if fam == "random-graph":
         g = families.random_graph(args.n, args.p, args.seed)
@@ -112,41 +95,43 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
         h = families.random_3_hypergraph(args.n, args.m, args.seed)
         text = families.format_hypergraph(h)
         payload = {"family": fam, "n": h.n, "m": len(h.edges)}
-    elif fam == "kexpression":
+    else:  # kexpression
         e = kexpr.random_kexpression(args.k, args.ops, args.seed)
         text = kexpr.to_text(e) + "\n"
         payload = {"family": fam, "k": args.k, "ops": args.ops}
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown family {fam}", EXIT_USAGE)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_USAGE) from exc
     payload["out"] = args.out
-    return payload, _digest(fam, text), EXIT_OK
+    return payload, (fam, text)
 
 
-def _cmd_fun(args) -> tuple[dict, str, int]:
-    g, text = _parse_graph_file(args.graphfile)
+def _cmd_fun(args) -> tuple[dict, tuple[str, ...]]:
+    g, text = _load(args.graphfile, parse_graph)
     if args.mode == "vertex":
         res = fun_vertex(g, args.vertex)
     elif args.mode == "min":
         res = min_fun(g)
     else:
         res = fun_graph(g, exact_limit=args.exact_limit)
-    payload = _fun_result_payload(res)
+    payload = {
+        "value": res.value,
+        "witness_vertex": res.witness_vertex,
+        "witness_set": sorted(res.witness_set),
+        "subgraph": sorted(res.subgraph) if res.subgraph is not None else None,
+    }
     if args.recheck:
         among = None if res.subgraph is None else mask_of(res.subgraph)
-        ok = is_function_of(g, res.witness_vertex, res.witness_set, among) is not None
-        payload["recheck"] = ok
-        if not ok:
-            return payload, _digest(text), EXIT_VIOLATION
-    return payload, _digest(text), EXIT_OK
+        payload["recheck"] = (
+            is_function_of(g, res.witness_vertex, res.witness_set, among) is not None
+        )
+    return payload, (text,)
 
 
-def _cmd_sd(args) -> tuple[dict, str, int]:
-    g, text = _parse_graph_file(args.graphfile)
+def _cmd_sd(args) -> tuple[dict, tuple[str, ...]]:
+    g, text = _load(args.graphfile, parse_graph)
     if args.mode == "pair":
         payload = {"value": sd_pair(g, args.x, args.y), "pair": [args.x, args.y]}
     elif args.mode == "min":
@@ -159,27 +144,23 @@ def _cmd_sd(args) -> tuple[dict, str, int]:
             "pair": list(res.pair),
             "subgraph": sorted(res.subgraph) if res.subgraph is not None else None,
         }
-    return payload, _digest(text), EXIT_OK
+    return payload, (text,)
 
 
-def _cmd_degeneracy(args) -> tuple[dict, str, int]:
-    g, text = _parse_graph_file(args.graphfile)
+def _cmd_degeneracy(args) -> tuple[dict, tuple[str, ...]]:
+    g, text = _load(args.graphfile, parse_graph)
     res = degeneracy(g)
-    return {"value": res.value, "order": list(res.order)}, _digest(text), EXIT_OK
+    return {"value": res.value, "order": list(res.order)}, (text,)
 
 
-def _cmd_vcdim(args) -> tuple[dict, str, int]:
-    g, text = _parse_graph_file(args.graphfile)
+def _cmd_vcdim(args) -> tuple[dict, tuple[str, ...]]:
+    g, text = _load(args.graphfile, parse_graph)
     res = vc_dimension(g)
-    return {"value": res.value, "shattered": sorted(res.shattered)}, _digest(text), EXIT_OK
+    return {"value": res.value, "shattered": sorted(res.shattered)}, (text,)
 
 
-def _cmd_kexpr(args) -> tuple[dict, str, int]:
-    text = _read_text(args.exprfile)
-    try:
-        e = kexpr.parse(text)
-    except kexpr.KExprError as exc:
-        raise CliError(f"{args.exprfile}: {exc}", EXIT_PARSE) from exc
+def _cmd_kexpr(args) -> tuple[dict, tuple[str, ...]]:
+    e, text = _load(args.exprfile, kexpr.parse)
     if args.mode == "eval":
         lg = kexpr.evaluate(e)
         payload = {
@@ -189,7 +170,7 @@ def _cmd_kexpr(args) -> tuple[dict, str, int]:
             "names": list(lg.names),
             "label_count": kexpr.label_count(e),
         }
-        return payload, _digest(text), EXIT_OK
+        return payload, (text,)
     report = kexpr.check_fun_cwd_bound(e)
     payload = {
         "passed": report.passed,
@@ -198,56 +179,45 @@ def _cmd_kexpr(args) -> tuple[dict, str, int]:
         "witness_vertex": report.witness_vertex,
         "witness_set": sorted(report.witness_set),
     }
-    return payload, _digest(text), EXIT_OK if report.passed else EXIT_VIOLATION
+    return payload, (text,)
 
 
-def _cmd_witness(args) -> tuple[dict, str, int]:
-    text = _read_text(args.file)
+def _cmd_witness(args) -> tuple[dict, tuple[str, ...]]:
     parse = {
         "unit-interval": families.parse_intervals,
         "permutation": families.parse_permutation,
         "line-graph": parse_graph,
     }[args.kind]
-    try:
-        instance = parse(text)
-    except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}", EXIT_PARSE) from exc
+    instance, text = _load(args.file, parse)
     if args.kind == "unit-interval":
         t, value = witnesses.unit_interval_pair(instance)
         payload = {"t": t, "sd_value": value,
                    "sum_sd": witnesses.sum_sd_consecutive(instance)}
-        return payload, _digest(text), EXIT_OK
+        return payload, (text,)
     if args.kind == "permutation":
         w = witnesses.permutation_witness(instance)
-        payload = _witness_payload(w)
-        payload["terms"] = [list(t) for t in w.terms]
+        host = instance.graph
+    else:
+        line = families.line_graph(instance)
+        u, v = sorted(args.edge)
+        if not instance.has_edge(u, v):
+            raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
+        w = witnesses.line_graph_witness(line, (u, v))
+        host = line[0]
+    payload = {
+        "target": w.target,
+        "support": list(w.support),
+        "terms": [list(t) for t in w.terms],
+    }
+    if args.kind == "permutation":
         payload["support_size"] = len(set(w.support))
-        if args.recheck:
-            payload["recheck"] = w.verify(instance.graph)
-            if not payload["recheck"]:
-                return payload, _digest(text), EXIT_VIOLATION
-        return payload, _digest(text), EXIT_OK
-    # line-graph
-    line = families.line_graph(instance)
-    u, v = sorted(args.edge)
-    if not instance.has_edge(u, v):
-        raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
-    w = witnesses.line_graph_witness(line, (u, v))
-    payload = _witness_payload(w)
-    payload["terms"] = [list(t) for t in w.terms]
     if args.recheck:
-        payload["recheck"] = w.verify(line[0])
-        if not payload["recheck"]:
-            return payload, _digest(text), EXIT_VIOLATION
-    return payload, _digest(text), EXIT_OK
+        payload["recheck"] = w.verify(host)
+    return payload, (text,)
 
 
-def _cmd_hyper3(args) -> tuple[dict, str, int]:
-    text = _read_text(args.hypergraphfile)
-    try:
-        h = families.parse_hypergraph(text)
-    except ValueError as exc:
-        raise CliError(f"{args.hypergraphfile}: {exc}", EXIT_PARSE) from exc
+def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
+    h, text = _load(args.hypergraphfile, families.parse_hypergraph)
     if args.mode == "bound":
         ig, _ = hyper3.intersection_graph(h)
         report = hyper3.hyper3_fun_bound(h)
@@ -262,31 +232,24 @@ def _cmd_hyper3(args) -> tuple[dict, str, int]:
             payload["recheck"] = (
                 is_function_of(ig, report.s_index, report.f_indices) is not None
             )
-            if not payload["recheck"]:
-                return payload, _digest(text), EXIT_VIOLATION
-        return payload, _digest(text), EXIT_OK
-    try:
-        st = hyper3.find_thick_structure(h)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+        return payload, (text,)
+    # without a thick pair this raises ValueError, a usage error
+    st = hyper3.find_thick_structure(h)
     payload = {
         "kind": st.kind,
         "s": list(st.s),
         "parts": [list(p) for p in st.parts],
         "apex_degree": st.apex_degree,
     }
-    return payload, _digest(text), EXIT_OK
+    return payload, (text,)
 
 
-def _cmd_verify(args) -> tuple[dict, str, int]:
-    if args.target not in verify.TARGETS:
-        raise CliError(f"unknown verify target {args.target}", EXIT_USAGE)
+def _cmd_verify(args) -> tuple[dict, tuple[str, ...]]:
     passed, payload = verify.run_target(
         args.target, seed=args.seed, cases=args.cases, t=args.t
     )
     result = {"target": args.target, "passed": passed, "detail": payload}
-    digest = _digest(args.target, str(args.seed), str(args.cases), str(args.t))
-    return result, digest, EXIT_OK if passed else EXIT_VIOLATION
+    return result, (args.target, str(args.seed), str(args.cases), str(args.t))
 
 
 # --- argument parsing -------------------------------------------------------
@@ -385,7 +348,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()
     try:
-        result, digest, code = args.handler(args)
+        result, chunks = args.handler(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
@@ -402,7 +365,7 @@ def main(argv=None) -> int:
     elapsed = int((time.perf_counter() - start) * 1000)
     report = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),
-        "input_digest": digest,
+        "input_digest": _digest(*chunks),
         "seed": getattr(args, "seed", None),
         "rng": RNG_NAME,
         "result": result,
@@ -412,7 +375,9 @@ def main(argv=None) -> int:
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     summary = {k: v for k, v in result.items() if not isinstance(v, (list, dict))}
     print(f"{args.command}: {summary} [{elapsed} ms]", file=sys.stderr)
-    return code
+    if result.get("recheck") is False or result.get("passed") is False:
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -86,6 +86,8 @@ class Hypergraph3:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         seen = set()
         for e in self.edges:
             if len(set(e)) != 3:
@@ -342,7 +344,10 @@ def parse_hypergraph(text: str) -> Hypergraph3:
     data = [ln for ln in data if ln and not ln.startswith("#")]
     if not data:
         raise ValueError("missing header line 'n m'")
-    n, m = (int(tok) for tok in data[0].split())
+    try:
+        n, m = map(int, data[0].split())
+    except ValueError as exc:
+        raise ValueError(f"bad header line: {data[0]!r}") from exc
     check_vertex_count(n)
     if len(data) - 1 != m:
         raise ValueError(f"expected {m} hyperedge lines, got {len(data) - 1}")

@@ -80,10 +80,13 @@ def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int
 
 
 def thick_pairs(h: Hypergraph3) -> list[ThickPair]:
-    """Vertex pairs lying together in at least THICK_THRESHOLD hyperedges."""
+    """Vertex pairs lying together in at least THICK_THRESHOLD hyperedges.
+    Both vertices of such a pair lie in that many hyperedges, so only pairs
+    of those vertices are counted."""
     inc = h.incidence
-    pairs = sorted({p for e in h.edges for p in itertools.combinations(sorted(e), 2)})
-    counts = ((u, v, (inc[u] & inc[v]).bit_count()) for u, v in pairs)
+    heavy = [v for v in range(h.n) if inc[v].bit_count() >= THICK_THRESHOLD]
+    counts = ((u, v, (inc[u] & inc[v]).bit_count())
+              for u, v in itertools.combinations(heavy, 2))
     return [ThickPair(u, v, c) for u, v, c in counts if c >= THICK_THRESHOLD]
 
 
@@ -130,12 +133,7 @@ def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     returning."""
     if thick_pairs(h):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
-    return _witness_no_thick(h, s)
-
-
-def _witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
-    """witness_no_thick for a hypergraph already known to have no thick
-    pair.  F is a mask of hyperedge indices throughout."""
+    # F is a mask of hyperedge indices throughout
     edges, inc = h.edges, h.incidence
     s_key = tuple(sorted(s))
     s_idx = edges.index(s_key)
@@ -146,7 +144,7 @@ def _witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     if f.bit_count() > TWO_VERTEX_OVERLAP_BOUND:
         warnings.warn(
             f"{f.bit_count()} hyperedges meet s in 2 vertices, above the nominal "
-            f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=3
+            f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=2
         )
     rest = ((1 << len(edges)) - 1) & ~f & not_s
 
@@ -228,11 +226,7 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     the scan; whatever is returned has been re-checked against the
     structure definitions.
     """
-    return _find_thick_structure(h, thick_pairs(h))
-
-
-def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStructure:
-    """find_thick_structure given h's ``thick_pairs``."""
+    thick = thick_pairs(h)
     if not thick:
         raise ValueError("hypergraph has no thick pair")
     thick_set = {(p.u, p.v) for p in thick}
@@ -303,13 +297,7 @@ def _find_thick_structure(h: Hypergraph3, thick: list[ThickPair]) -> ThickStruct
 def witness_thick(h: Hypergraph3) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
     pair.  Verified by replay on ``h.graph`` before returning."""
-    return _witness_thick(h, find_thick_structure(h))
-
-
-def _witness_thick(
-    h: Hypergraph3, st: ThickStructure
-) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """witness_thick around the thick structure ``st`` already found in h."""
+    st = find_thick_structure(h)
     edges = h.edges
     index = {e: i for i, e in enumerate(edges)}
     s_key = tuple(sorted(st.s))
@@ -350,13 +338,12 @@ def hyper3_fun_bound(h: Hypergraph3) -> Hyper3Report:
     verified on ``h.graph``."""
     if not h.edges:
         raise ValueError("need at least one hyperedge")
-    thick = thick_pairs(h)
-    if thick:
-        s, f = _witness_thick(h, _find_thick_structure(h, thick))
+    if thick_pairs(h):
+        s, f = witness_thick(h)
         s_idx = h.edges.index(tuple(sorted(s)))
         return Hyper3Report(s_idx, s, f, len(f), True)
     s = h.edges[0]
-    f = _witness_no_thick(h, s)
+    f = witness_no_thick(h, s)
     return Hyper3Report(0, s, f, len(f), False)
 
 

@@ -116,7 +116,7 @@ class _Parser:
 
     def int_token(self) -> int:
         tok, _, _ = self.take()
-        if not tok.isdigit() or int(tok) < 1:
+        if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
             self.pos -= 1
             self.error(f"expected positive label, found {tok!r}")
         return int(tok)

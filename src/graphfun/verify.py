@@ -251,9 +251,8 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     max_f = 0
     for i in range(cases):
         h = _no_thick_instance(rng.randrange(2**32))
-        # _no_thick_instance has checked thick_pairs once for the whole h
         for s in h.edges:
-            f = hyper3._witness_no_thick(h, s)
+            f = hyper3.witness_no_thick(h, s)
             max_f = max(max_f, len(f))
             if len(f) > hyper3.NO_THICK_WITNESS_BOUND:
                 failures.append({"case": i, "s": list(s), "size": len(f)})
@@ -265,7 +264,7 @@ def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dic
     fixture_report = {}
     for kind, h in fixtures.items():
         st = hyper3.find_thick_structure(h)
-        s, f = hyper3._witness_thick(h, st)
+        s, f = hyper3.witness_thick(h)
         fixture_report[kind] = {"found": st.kind, "f_size": len(f)}
         if st.kind != kind or len(f) > hyper3.THICK_WITNESS_BOUND:
             failures.append({"fixture": kind, "found": st.kind, "size": len(f)})

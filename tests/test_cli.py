@@ -210,6 +210,28 @@ def test_parse_errors(tmp_path, capsys):
     badkx.write_text("eta(1,1,node(1,a))\n")
     assert main(["kexpr", "eval", str(badkx)]) == 3
     assert main(["fun", "min", str(tmp_path / "missing.txt")]) == 3
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 0\n# caf\xe9\n")  # not UTF-8: used to exit 2
+    assert main(["fun", "min", str(latin1)]) == 3
+
+
+def test_non_ascii_digit_labels_are_parse_errors(tmp_path, capsys):
+    # str.isdigit accepts superscripts, which int() then rejects
+    for text in ("node(\u00b2,a)\n", "eta(1,\u00b9,node(1,a))\n"):
+        path = tmp_path / "label.kx"
+        path.write_text(text, encoding="utf-8")
+        assert main(["kexpr", "eval", str(path)]) == 3, text
+        err = capsys.readouterr().err
+        assert "expected positive label" in err and "at line 1, column" in err
+
+
+@pytest.mark.parametrize("text,message", [("3 0 5\n", "bad header line"),
+                                          ("-1 0\n", "vertex count")])
+def test_bad_hypergraph_headers_are_parse_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    assert main(["hyper3", "bound", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -225,6 +247,78 @@ def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line graph witness failed verification" in captured.err
+
+
+def _fails_after_building(monkeypatch, module, name):
+    """Replace ``module.name`` with the real builder, after which every
+    DnfWitness replay fails: the witness is built and self-checked, and
+    only the CLI's recheck sees the failure."""
+    from graphfun import witnesses
+
+    build = getattr(module, name)
+
+    def built(*args):
+        w = build(*args)
+        monkeypatch.setattr(witnesses.DnfWitness, "verify", lambda self, g: False)
+        return w
+
+    monkeypatch.setattr(module, name, built)
+
+
+@pytest.mark.parametrize("kind", ["fun", "permutation", "line-graph", "hyper3"])
+def test_failed_recheck_writes_its_report_and_exits_1(tmp_path, capsys, monkeypatch, kind):
+    from graphfun import families, witnesses
+
+    if kind == "fun":
+        path = tmp_path / "g.txt"
+        write_graph(random_graph(8, 0.5, 3), path)
+        argv = ["fun", "min", str(path)]
+    elif kind == "permutation":
+        path = tmp_path / "p.txt"
+        path.write_text(families.format_permutation(families.random_permutation(20, 1)))
+        argv = ["witness", "permutation", str(path)]
+    elif kind == "line-graph":
+        path = tmp_path / "k4.txt"
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        argv = ["witness", "line-graph", str(path), "--edge", "0", "1"]
+    else:
+        path = tmp_path / "h.txt"
+        path.write_text(families.format_hypergraph(families.random_3_hypergraph(40, 30, 2)))
+        argv = ["hyper3", "bound", str(path)]
+    if kind in ("fun", "hyper3"):
+        # the CLI's own replay; the solvers keep their own import
+        monkeypatch.setattr(cli, "is_function_of", lambda *args: None)
+    else:
+        _fails_after_building(monkeypatch, witnesses, kind.replace("-", "_") + "_witness")
+    code, report = run(capsys, argv + ["--recheck"])
+    assert code == 1
+    assert report["result"]["recheck"] is False
+
+
+def test_failed_kexpr_check_writes_its_report_and_exits_1(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from graphfun import kexpr
+
+    check = kexpr.check_fun_cwd_bound
+    monkeypatch.setattr(kexpr, "check_fun_cwd_bound",
+                        lambda e: dataclasses.replace(check(e), passed=False))
+    path = tmp_path / "c5.kx"
+    path.write_text(kexpr.C5_EXPRESSION_TEXT + "\n")
+    code, report = run(capsys, ["kexpr", "check", str(path)])
+    assert code == 1
+    assert report["result"]["passed"] is False and report["result"]["min_fun"] == 2
+
+
+def test_failed_verify_target_writes_its_report_and_exits_1(capsys, monkeypatch):
+    from graphfun import verify
+
+    monkeypatch.setitem(verify.TARGETS, "hypercube",
+                        lambda **kwargs: (False, {"failures": [{"n": 3}]}))
+    code, report = run(capsys, ["verify", "hypercube"])
+    assert code == 1
+    assert report["result"]["passed"] is False
+    assert report["result"]["detail"] == {"failures": [{"n": 3}]}
 
 
 def test_parse_error_regressions(tmp_path, capsys):

@@ -197,6 +197,8 @@ def test_hypergraph_validation():
         Hypergraph3(3, ((0, 1, 3),))
     with pytest.raises(ValueError):
         Hypergraph3.from_edges(4, [(0, 1, 2), (2, 1, 0)])
+    with pytest.raises(ValueError, match="vertex count"):
+        Hypergraph3(-1, ())
 
 
 def test_file_formats_round_trip():
@@ -208,6 +210,11 @@ def test_file_formats_round_trip():
     assert parse_hypergraph(format_hypergraph(h)) == h
     with pytest.raises(ValueError):
         parse_hypergraph("3 2\n0 1 2\n")
+    for header in ("3 0 5", "3", "three 0"):
+        with pytest.raises(ValueError, match="bad header line"):
+            parse_hypergraph(header + "\n")
+    with pytest.raises(ValueError, match="vertex count"):
+        parse_hypergraph("-1 0\n")
 
 
 # --- constructors against their pairwise definitions ------------------------

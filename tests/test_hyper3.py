@@ -276,7 +276,7 @@ def test_incidence_masks_match_set_references(case):
     for v in range(n):
         assert matching_or_cover(h, v) == _ref_matching_or_cover(h, v)
     for s in h.edges:
-        assert hyper3._witness_no_thick(h, s) == _ref_witness_no_thick(h, s)
+        assert witness_no_thick(h, s) == _ref_witness_no_thick(h, s)
 
 
 # --- golden pins of the thick-pair constructions ------------------------------
