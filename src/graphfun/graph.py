@@ -342,8 +342,9 @@ class GraphFormatError(ValueError):
 
 # The largest vertex count a parser accepts.  A header is read before any
 # row exists, so without a limit a huge n would first allocate n rows and
-# end in an OverflowError or a MemoryError.  2**22 holds the 2**20 vertices
-# of the largest generated hypercube.
+# end in an OverflowError or a MemoryError.  At 2**22 a header-only file
+# parses in about a second into about 110 MB of empty rows, and a sparse
+# graph on a million vertices still parses.
 MAX_VERTICES = 1 << 22
 
 

@@ -12,50 +12,20 @@ INT is a positive base-10 label, NAME is [A-Za-z0-9_]+.  'u' is disjoint
 union, eta(i,j,...) connects every i-labelled vertex to every j-labelled
 vertex, rho(i,j,...) renames label i to j.
 
-The parser, printer and evaluator recurse once per nesting level, so an
-expression may nest at most MAX_DEPTH levels: ``parse`` rejects deeper text
-and ``random_kexpression`` refuses to build a deeper tree.
+In memory an expression is the tuple of its operations in text order:
+("node", label, name), ("u",), ("eta", i, j), ("rho", i, j).  Each
+operation's operands follow it, so every function here walks that tuple in
+one loop and an expression may nest to any depth.
 """
 from __future__ import annotations
 
 import random
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .graph import Graph
 
-# Leaves 100 frames of Python's default recursion limit of 1000 to callers.
-MAX_DEPTH = 900
-
-
-@dataclass(frozen=True)
-class Create:
-    label: int
-    name: str
-
-
-@dataclass(frozen=True)
-class UnionNode:
-    left: "KExpression"
-    right: "KExpression"
-
-
-@dataclass(frozen=True)
-class Eta:
-    i: int
-    j: int
-    sub: "KExpression"
-
-
-@dataclass(frozen=True)
-class Rho:
-    i: int
-    j: int
-    sub: "KExpression"
-
-
-KExpression = Union[Create, UnionNode, Eta, Rho]
+KExpression = tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -132,109 +102,118 @@ class _Parser:
         self.names.add(tok)
         return tok
 
-    def expr(self, depth: int = 1) -> KExpression:
-        if depth > MAX_DEPTH:
-            self.error("expression nested too deeply")
-        head = self.peek()
-        if head == "node":
-            self.pos += 1
-            self.expect("(")
-            label = self.int_token()
-            self.expect(",")
-            name = self.name_token()
-            self.expect(")")
-            return Create(label, name)
-        if head == "u":
-            self.pos += 1
-            self.expect("(")
-            left = self.expr(depth + 1)
-            self.expect(",")
-            right = self.expr(depth + 1)
-            self.expect(")")
-            return UnionNode(left, right)
-        if head in ("eta", "rho"):
-            self.pos += 1
-            self.expect("(")
-            i = self.int_token()
-            self.expect(",")
-            j = self.int_token()
-            self.expect(",")
-            sub = self.expr(depth + 1)
-            self.expect(")")
-            if head == "eta":
-                if i == j:
-                    self.error("eta labels equal")
-                return Eta(i, j, sub)
-            return Rho(i, j, sub)
-        self.error(f"expected expression, found {head!r}")
+
+def _close(open_: list[int], emit) -> None:
+    """After a node's name: emit its ')', the ')' of every open operation
+    whose last operand it completes, and the ',' before the next operand.
+    ``open_`` counts the operands each open operation still needs,
+    innermost last."""
+    emit(")")
+    while open_:
+        open_[-1] -= 1
+        if open_[-1]:
+            emit(",")
+            return
+        open_.pop()
+        emit(")")
 
 
 def parse(text: str) -> KExpression:
     p = _Parser(text)
-    tree = p.expr()
+    ops: list[tuple] = []
+    open_: list[int] = []
+    while not ops or open_:  # until one whole expression is read
+        head = p.peek()
+        if head not in ("node", "u", "eta", "rho"):
+            p.error(f"expected expression, found {head!r}")
+        p.pos += 1
+        p.expect("(")
+        if head == "u":
+            ops.append(("u",))
+            open_.append(2)
+            continue
+        i = p.int_token()
+        p.expect(",")
+        if head == "node":
+            ops.append(("node", i, p.name_token()))
+            _close(open_, p.expect)
+            continue
+        j = p.int_token()
+        if head == "eta" and i == j:
+            p.error("eta labels equal")
+        p.expect(",")
+        ops.append((head, i, j))
+        open_.append(1)
     if p.pos != len(p.tokens):
         p.error(f"trailing input {p.peek()!r}")
-    return tree
+    return tuple(ops)
 
 
 def to_text(e: KExpression) -> str:
     """Canonical printer; parse(to_text(e)) == e."""
-    if isinstance(e, Create):
-        return f"node({e.label},{e.name})"
-    if isinstance(e, UnionNode):
-        return f"u({to_text(e.left)},{to_text(e.right)})"
-    if isinstance(e, Eta):
-        return f"eta({e.i},{e.j},{to_text(e.sub)})"
-    return f"rho({e.i},{e.j},{to_text(e.sub)})"
+    out: list[str] = []
+    open_: list[int] = []
+    for op in e:
+        if op[0] == "node":
+            out.append(f"node({op[1]},{op[2]}")
+            _close(open_, out.append)
+        elif op[0] == "u":
+            out.append("u(")
+            open_.append(2)
+        else:
+            out.append(f"{op[0]}({op[1]},{op[2]},")
+            open_.append(1)
+    return "".join(out)
 
 
 def evaluate(e: KExpression) -> LabeledGraph:
-    """Build the labelled graph.  Vertex order is the left-to-right order
-    of Create nodes in the expression."""
-    rows, labels, names = _eval(e)
-    n = len(rows)
-    return LabeledGraph(Graph(n, tuple(rows)), tuple(labels), tuple(names))
+    """Build the labelled graph.  Vertex order is the text order of the
+    node operations.
 
-
-def _eval(e: KExpression) -> tuple[list[int], list[int], list[str]]:
-    if isinstance(e, Create):
-        return [0], [e.label], [e.name]
-    if isinstance(e, UnionNode):
-        lr, ll, ln = _eval(e.left)
-        rr, rl, rn = _eval(e.right)
-        shift = len(lr)
-        rows = lr + [r << shift for r in rr]
-        return rows, ll + rl, ln + rn
-    rows, labels, names = _eval(e.sub)
-    if isinstance(e, Eta):
+    The vertices of each subexpression form one contiguous range, so the
+    operations are applied last to first on a stack of vertex ranges, the
+    leftmost operand on top."""
+    labels = [op[1] for op in e if op[0] == "node"]
+    names = tuple(op[2] for op in e if op[0] == "node")
+    rows = [0] * len(labels)
+    ranges: list[tuple[int, int]] = []
+    end = len(labels)
+    for op in reversed(e):
+        if op[0] == "node":
+            end -= 1
+            ranges.append((end, end + 1))
+            continue
+        if op[0] == "u":
+            lo, _ = ranges.pop()
+            _, hi = ranges.pop()
+            ranges.append((lo, hi))
+            continue
+        _, i, j = op
+        span = range(*ranges[-1])
+        if op[0] == "rho":
+            # relabel only, the graph itself is untouched
+            for v in span:
+                if labels[v] == i:
+                    labels[v] = j
+            continue
         imask = 0
         jmask = 0
-        for v, lab in enumerate(labels):
-            if lab == e.i:
+        for v in span:
+            if labels[v] == i:
                 imask |= 1 << v
-            elif lab == e.j:
+            elif labels[v] == j:
                 jmask |= 1 << v
-        for v, lab in enumerate(labels):
-            if lab == e.i:
+        for v in span:
+            if labels[v] == i:
                 rows[v] |= jmask
-            elif lab == e.j:
+            elif labels[v] == j:
                 rows[v] |= imask
-        return rows, labels, names
-    # Rho: relabel only, the graph itself is untouched
-    return rows, [e.j if lab == e.i else lab for lab in labels], names
+    return LabeledGraph(Graph(len(rows), tuple(rows)), tuple(labels), names)
 
 
 def label_count(e: KExpression) -> int:
     """Number of distinct labels appearing anywhere in the expression."""
-    return len(_labels(e))
-
-
-def _labels(e: KExpression) -> set[int]:
-    if isinstance(e, Create):
-        return {e.label}
-    if isinstance(e, UnionNode):
-        return _labels(e.left) | _labels(e.right)
-    return {e.i, e.j} | _labels(e.sub)
+    return len({lab for op in e for lab in (op[1:2] if op[0] == "node" else op[1:])})
 
 
 @dataclass(frozen=True)
@@ -264,44 +243,27 @@ def check_fun_cwd_bound(e: KExpression) -> CwdBoundReport:
 
 def random_kexpression(k: int, ops: int, seed: int) -> KExpression:
     """Seeded random expression with ``ops`` operations over labels 1..k.
-    Each operation after the first adds one nesting level (a union adds
-    two operations); a tree that would nest deeper than MAX_DEPTH raises
-    ``ValueError``."""
+    Each step wraps the expression built so far in an eta, a rho, or a
+    union with a fresh node on its right."""
     if k < 1 or ops < 1:
         raise ValueError("need k >= 1 and ops >= 1")
     rng = random.Random(seed)
-    counter = 0
-
-    def fresh() -> Create:
-        nonlocal counter
-        counter += 1
-        return Create(rng.randint(1, k), f"v{counter}")
-
-    tree: KExpression = fresh()
-    ops_used = depth = 1
-    while ops_used < ops:
+    body = [("node", rng.randint(1, k), "v1")]
+    outer: list[tuple] = []  # the wrapping operations, innermost first
+    while len(outer) + len(body) < ops:
         choices = ["eta", "rho"] if k > 1 else []
-        if ops_used + 2 <= ops:
-            choices.append("union")
+        if len(outer) + len(body) + 2 <= ops:
+            choices.append("u")
         if not choices:
             break
-        if depth == MAX_DEPTH:
-            raise ValueError(f"{ops} operations nest deeper than the limit of "
-                             f"{MAX_DEPTH} levels")
-        depth += 1
         kind = rng.choice(choices)
-        if kind == "union":
-            tree = UnionNode(tree, fresh())
-            ops_used += 2
-        elif kind == "eta":
-            i, j = rng.sample(range(1, k + 1), 2)
-            tree = Eta(i, j, tree)
-            ops_used += 1
+        if kind == "u":
+            outer.append(("u",))
+            body.append(("node", rng.randint(1, k), f"v{len(body) + 1}"))
         else:
             i, j = rng.sample(range(1, k + 1), 2)
-            tree = Rho(i, j, tree)
-            ops_used += 1
-    return tree
+            outer.append((kind, i, j))
+    return tuple(outer[::-1] + body)
 
 
 # The C5 construction over labels 1..4 used as a cross-module test anchor.

@@ -328,7 +328,7 @@ def test_parse_error_regressions(tmp_path, capsys):
     deep = tmp_path / "deep.kx"
     deep.write_text("u(" * 5000)  # used to raise RecursionError
     assert main(["kexpr", "eval", str(deep)]) == 3
-    assert "nested too deeply" in capsys.readouterr().err
+    assert "expected expression, found None" in capsys.readouterr().err
     # A header n too large to allocate used to end in an OverflowError or,
     # under a memory limit, a MemoryError.  Each case runs in a child process
     # with a 1.5 GB address-space limit, so a regression cannot take the
@@ -348,22 +348,11 @@ def test_parse_error_regressions(tmp_path, capsys):
         assert "above the limit of" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_gen_kexpression_stops_at_the_depth_limit(tmp_path, capsys):
-    from graphfun.kexpr import MAX_DEPTH
-
-    out = tmp_path / "too-deep.kx"
-    assert main(["gen", "kexpression", "--ops", "1400", "--seed", "1", "--out", str(out)]) == 2
-    assert "deeper than the limit" in capsys.readouterr().err and not out.exists()
-    # the deepest tree gen accepts is one kexpr eval accepts
-    deepest = tmp_path / "deepest.kx"
-    argv = ["gen", "kexpression", "--k", "1", "--ops", str(2 * MAX_DEPTH - 1), "--out", str(deepest)]
-    assert run(capsys, argv)[0] == 0
-    code, report = run(capsys, ["kexpr", "eval", str(deepest)])
-    assert code == 0 and report["result"]["n"] == MAX_DEPTH
-    deeper = tmp_path / "deeper.kx"
-    deeper.write_text(f"rho(1,2,{deepest.read_text()})")
-    assert main(["kexpr", "eval", str(deeper)]) == 3
-    assert "nested too deeply" in capsys.readouterr().err
+def test_gen_kexpression_has_no_depth_limit(tmp_path, capsys):
+    out = tmp_path / "deep.kx"
+    assert run(capsys, ["gen", "kexpression", "--ops", "1400", "--seed", "1", "--out", str(out)])[0] == 0
+    code, report = run(capsys, ["kexpr", "eval", str(out)])
+    assert code == 0 and report["result"]["n"] == 343
 
 
 @pytest.mark.parametrize("kind", ["line-graph", "permutation", "thick", "no-thick"])
@@ -473,9 +462,75 @@ FUN_VERTEX_REPORT = """\
 """
 
 
+KEXPR_EVAL_REPORT = """\
+{
+  "command": "kexpr eval e.kx",
+  "input_digest": "7c712743ead9810395b9551827f5f1b1e34bdac131bfae0ed8c62da7dca964ff",
+  "result": {
+    "edges": [
+      [
+        0,
+        3
+      ],
+      [
+        0,
+        4
+      ],
+      [
+        1,
+        3
+      ],
+      [
+        1,
+        4
+      ],
+      [
+        2,
+        3
+      ],
+      [
+        2,
+        4
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    "label_count": 3,
+    "labels": [
+      3,
+      3,
+      3,
+      3,
+      3,
+      1
+    ],
+    "n": 6,
+    "names": [
+      "v1",
+      "v2",
+      "v3",
+      "v4",
+      "v5",
+      "v6"
+    ]
+  },
+  "rng": "python-random-mt19937",
+  "seed": null,
+  "timing_ms": 0,
+  "version": "0.1.0"
+}
+"""
+
+
 def test_report_bytes_are_unchanged(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_graph(random_graph(8, 0.5, 3), "g.txt")
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     assert main(["fun", "vertex", "g.txt", "--vertex", "0", "--recheck"]) == 0
     assert capsys.readouterr().out == FUN_VERTEX_REPORT
+    assert main(["gen", "kexpression", "--k", "3", "--ops", "25", "--seed", "4", "--out", "e.kx"]) == 0
+    capsys.readouterr()
+    assert main(["kexpr", "eval", "e.kx"]) == 0
+    assert capsys.readouterr().out == KEXPR_EVAL_REPORT

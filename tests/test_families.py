@@ -43,6 +43,8 @@ def test_hypercube_regular_and_sized():
     with pytest.raises(ValueError):
         hypercube(0)
     with pytest.raises(ValueError):
+        hypercube(15)
+    with pytest.raises(ValueError):
         hypercube(21)
 
 

@@ -135,7 +135,7 @@ def test_far_edge_on_many_vertices_parses_within_a_memory_limit():
 
 
 def test_parsers_reject_vertex_counts_above_the_limit():
-    assert MAX_VERTICES >= 2**20  # the output of gen hypercube --n 20 parses
+    assert MAX_VERTICES >= 2**20  # a sparse graph on a million vertices parses
     for text, parse in ((f"{MAX_VERTICES + 1} 0", parse_graph),
                         (f"{MAX_VERTICES + 1} 1\n0 1 2", parse_hypergraph),
                         ("99999999999999999999 0", parse_graph)):

@@ -1,15 +1,12 @@
+import hashlib
+
 import pytest
 
-from graphfun import kexpr
 from graphfun.functionality import min_fun
 from graphfun.graph import Graph
 from graphfun.kexpr import (
     C5_EXPRESSION_TEXT,
-    Create,
-    Eta,
     KExprError,
-    Rho,
-    UnionNode,
     check_fun_cwd_bound,
     evaluate,
     label_count,
@@ -21,12 +18,13 @@ from graphfun.kexpr import (
 
 def test_parse_single_node():
     e = parse("node(1,a)")
-    assert e == Create(1, "a")
+    assert e == (("node", 1, "a"),)
 
 
 def test_parse_round_trip():
     text = "eta(1,2,u(node(1,x),rho(2,1,node(2,y))))"
     e = parse(text)
+    assert e == (("eta", 1, 2), ("u",), ("node", 1, "x"), ("rho", 2, 1), ("node", 2, "y"))
     assert to_text(e) == text
     assert parse(to_text(e)) == e
 
@@ -34,7 +32,7 @@ def test_parse_round_trip():
 def test_parse_errors_carry_position():
     with pytest.raises(KExprError) as exc:
         parse("eta(1,1,node(1,a))")
-    assert "line 1" in str(exc.value)
+    assert "line 1, column 8" in str(exc.value)
     with pytest.raises(KExprError):
         parse("u(node(1,a),node(1,a))")  # duplicate name
     with pytest.raises(KExprError):
@@ -94,6 +92,19 @@ def test_random_kexpression_deterministic_and_bounded():
     assert min_fun(lg.graph).value <= 5  # 2 * 3 - 1
 
 
+def test_generated_expressions_are_pinned():
+    # one digest over the text and the evaluated graph of every small
+    # generated expression, so a change of representation keeps both
+    h = hashlib.sha256()
+    for k in range(1, 6):
+        for ops in range(1, 41):
+            for seed in range(3):
+                e = random_kexpression(k, ops, seed)
+                lg = evaluate(e)
+                h.update(repr((to_text(e), lg.graph.edges(), lg.labels, lg.names)).encode())
+    assert h.hexdigest() == "fb02579e1b5cba728cbb22fc396d84fe9dcfd374e32e77f0dd35a763c08cc76a"
+
+
 def test_random_kexpression_rejects_bad_params():
     with pytest.raises(ValueError):
         random_kexpression(0, 5, 0)
@@ -101,22 +112,13 @@ def test_random_kexpression_rejects_bad_params():
         random_kexpression(2, 0, 0)
 
 
-def _depth(e):
-    depth = 1
-    while not isinstance(e, Create):
-        e = e.left if isinstance(e, UnionNode) else e.sub
-        depth += 1
-    return depth
-
-
-def test_one_depth_limit_for_parse_and_generation():
-    # with one label every step is a union: two operations, one level
-    deepest = random_kexpression(1, 2 * kexpr.MAX_DEPTH - 1, 0)
-    assert _depth(deepest) == kexpr.MAX_DEPTH
+def test_expressions_nest_to_any_depth():
+    # with one label every step is a union: 5,000 levels, 5,000 vertices
+    deepest = random_kexpression(1, 9999, 0)
     text = to_text(deepest)
-    # dataclass == recurses several frames per level, so compare texts
-    assert to_text(parse(text)) == text
-    with pytest.raises(KExprError, match="nested too deeply"):
-        parse(f"rho(1,2,{text})")
-    with pytest.raises(ValueError, match="deeper than the limit"):
-        random_kexpression(1, 2 * kexpr.MAX_DEPTH + 1, 0)
+    assert text.startswith("u(" * 4999 + "node(1,v1),node(1,v2))")
+    again = parse(text)
+    assert again == deepest and hash(again) == hash(deepest)
+    lg = evaluate(again)
+    assert lg.graph.n == 5000 and lg.graph.num_edges() == 0
+    assert lg.names[-1] == "v5000"

@@ -67,7 +67,8 @@ def test_hypergraph_round_trip(n, m, seed):
 @given(k=st.integers(min_value=1, max_value=5), ops=st.integers(min_value=1, max_value=30), seed=seeds)
 def test_kexpression_round_trip(k, ops, seed):
     e = kexpr.random_kexpression(k, ops, seed)
-    assert kexpr.parse(kexpr.to_text(e)) == e
+    again = kexpr.parse(kexpr.to_text(e))
+    assert again == e and hash(again) == hash(e)
 
 
 # Text built from tokens of every format, always separated, so that no two
