@@ -340,9 +340,11 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
     are supports, so the first vertex of H to be dropped has fun_H at most
     the best value: no H that beats it loses a vertex.  Every subset the
     peeling removes would fail the degree check of ``_min_fun_over``, so
-    the hitting-set searches are the same.  The winning subset is searched
-    again with no floor, and its witness is certified on G restricted to
-    that subset.
+    the hitting-set searches are the same.  Every subset ``score`` accepts
+    becomes the best, and up to that point ``_min_fun_over`` ran as it
+    would with no floor, so the last support it returned is the winner's:
+    it is certified on G restricted to the winning subset, not searched
+    again.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
@@ -352,9 +354,15 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
             "for a certified lower bound"
         )
 
+    winner: Optional[tuple[int, frozenset[int]]] = None
+
     def score(among: int, floor: int) -> Optional[int]:
+        nonlocal winner
         found = _min_fun_over(g, among, floor)
-        return None if found is None else len(found[1])
+        if found is None:
+            return None
+        winner = found
+        return len(found[1])
 
     rows = g.rows
 
@@ -379,11 +387,7 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
         return cand ^ alive
 
     _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
-    among = mask_of(best_subset)
-    found = _min_fun_over(g, among, -1)
-    if found is None:
-        raise RuntimeError("no vertex of the attaining subgraph has a support")
-    return _certified(g, *found, among)
+    return _certified(g, *winner, mask_of(best_subset))
 
 
 def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:

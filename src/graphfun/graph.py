@@ -21,16 +21,19 @@ class Graph:
         """Validation: loops and bits at or above ``n``, then symmetry.
 
         Symmetry takes one of two paths.  Let W be the power of two at
-        least max(n, 8).  When W² ≤ 16·(n + Σ row.bit_length()), the rows
-        are packed into one int, row v at bit v·W, and the W×W bit matrix
-        is transposed with log₂W delta swaps (``_transpose``); the rows are
-        symmetric iff the transpose equals the packing.  That is O(log W)
-        bigint operations on W² bits, which the rule keeps within 16 times
-        the bits the rows hold.  Otherwise, as for a sparse graph on many
-        vertices, the packing would be too large, and ``_walk_asymmetry``
-        checks symmetry in O(n + m) bigint operations and O(n + m) memory.
-        Either path names the pair a pairwise scan of the lower triangle
-        would find first.
+        least max(n, 8).  When W² ≤ 16·(n + Σ row.bit_length()) and
+        W² ≤ 32·(n + Σ row.bit_count()), the rows are packed into one int,
+        row v at bit v·W, and the W×W bit matrix is transposed with log₂W
+        delta swaps (``_transpose``); the rows are symmetric iff the
+        transpose equals the packing.  That is O(log W) bigint operations
+        on W² bits, which the rule keeps within 16 times the bits the rows
+        span and 32 times the bits they set.  Otherwise, as for a sparse
+        graph on many vertices, the packing would be too large, and
+        ``_walk_asymmetry`` checks symmetry in O(n + m) bigint operations
+        and O(n + m) memory.  The second bound sends a hypercube, whose
+        rows span almost W bits but set only log₂W, to the walk.  Either
+        path names the pair a pairwise scan of the lower triangle would
+        find first.
         """
         n, rows = self.n, self.rows
         if n < 0 or len(rows) != n:
@@ -41,7 +44,8 @@ class Graph:
             if row >> n:
                 raise ValueError(f"row {v} references vertices >= n")
         w = max(8, 1 << (n - 1).bit_length())
-        if w * w <= 16 * (n + sum(map(int.bit_length, rows))):
+        if (w * w <= 16 * (n + sum(map(int.bit_length, rows)))
+                and w * w <= 32 * (n + sum(map(int.bit_count, rows)))):
             pair = _transpose_asymmetry(rows, w)
         else:
             pair = _walk_asymmetry(rows)

@@ -2,7 +2,6 @@
 neighbourhood set system."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -56,37 +55,37 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     return DegeneracyResult(value, tuple(order))
 
 
-def _is_shattered(candidate: tuple[int, ...], hoods: list[int]) -> bool:
-    want = 1 << len(candidate)
-    traces = set()
-    for h in hoods:
-        t = 0
-        for i, v in enumerate(candidate):
-            if h >> v & 1:
-                t |= 1 << i
-        traces.add(t)
-        if len(traces) == want:
-            return True
-    return len(traces) == want
-
-
 def vc_dimension(g: Graph) -> VcResult:
     """Exact VC-dimension of (V, {N[v]}) with a maximum shattered set.
 
-    Candidate sizes are tried from floor(log2 n) downward; within a size,
-    lexicographic enumeration makes the returned set the smallest maximum
-    one.  A size is skipped outright when the number of distinct closed
-    neighbourhoods cannot supply 2^d traces.
+    Shattered sets are closed under subsets, so one depth-first search
+    grows them in lexicographic order.  A shattered set C keeps its 2^|C|
+    trace cells, the classes of V by membership of N[c] for c in C, as
+    vertex masks.  As v ∈ N[c] iff c ∈ N[v], C ∪ {x} is shattered iff N[x]
+    meets and misses part of every cell.  Cells only get finer, so a failed
+    candidate is not passed down; d more members split each cell into 2^d
+    parts, so a node is cut when |C| + min(floor(log2 smallest cell),
+    candidates left) cannot beat the best.  Only a larger set replaces the
+    best, so the lexicographically smallest maximum set is returned.
     """
     if g.n == 0:
         raise ValueError("vc_dimension of the empty graph is undefined")
     hoods = [g.closed_neighborhood_mask(v) for v in range(g.n)]
-    distinct = len(set(hoods))
-    for d in range(g.n.bit_length() - 1, 0, -1):
-        if distinct < 1 << d:
-            continue
-        for candidate in itertools.combinations(range(g.n), d):
-            if _is_shattered(candidate, hoods):
-                return VcResult(d, frozenset(candidate))
-    # the empty set is shattered by any nonempty family
-    return VcResult(0, frozenset())
+    best: tuple[int, ...] = ()
+
+    def grow(chosen: tuple[int, ...], cells: list[int], cands: list[int]) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+        room = min(c.bit_count() for c in cells).bit_length() - 1
+        if len(chosen) + room <= len(best):
+            return
+        cands = [x for x in cands if all(0 != c & hoods[x] != c for c in cells)]
+        for i, x in enumerate(cands):
+            if len(chosen) + min(room, len(cands) - i) <= len(best):
+                return
+            h = hoods[x]
+            grow(chosen + (x,), [part for c in cells for part in (c & h, c & ~h)], cands[i + 1:])
+
+    grow((), [(1 << g.n) - 1], list(range(g.n)))
+    return VcResult(len(best), frozenset(best))

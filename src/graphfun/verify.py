@@ -218,7 +218,7 @@ def verify_sd_link(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, d
 
 def verify_vcdim(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict]:
     failures = []
-    for n in (1, 2, 3):
+    for n in range(1, 9):
         value = vc_dimension(families.shattering_graph(n)).value
         if value != n:
             failures.append({"kind": "shattering", "n": n, "vc": value})

@@ -24,7 +24,7 @@ from graphfun.graph import (
     parse_graph,
     sym_diff_neighborhoods,
 )
-from graphfun.families import random_graph
+from graphfun.families import hypercube, permutation_graph, random_graph, random_permutation
 from graphfun.symdiff import sd_pair
 
 
@@ -168,8 +168,10 @@ def _width(n):
 
 def _transposes(n, rows):
     """Graph's size rule: symmetry is checked by a transpose of the packed
-    rows iff W**2 <= 16 * (n + the rows' total bit length)."""
-    return _width(n) ** 2 <= 16 * (n + sum(row.bit_length() for row in rows))
+    rows iff W**2 <= 16 * (n + the rows' total bit length) and
+    W**2 <= 32 * (n + the rows' total bit count)."""
+    return (_width(n) ** 2 <= 16 * (n + sum(row.bit_length() for row in rows))
+            and _width(n) ** 2 <= 32 * (n + sum(row.bit_count() for row in rows)))
 
 
 def _rule_examples():
@@ -224,6 +226,21 @@ def test_rule_examples_sit_on_both_sides_of_the_rule(monkeypatch):
     # (width, transposed, symmetric); at W = 8 no asymmetric rows are walked
     assert seen == {(w, side, symmetric) for w in (8, 16, 32, 64, 128)
                     for side in (False, True) for symmetric in (False, True)} - {(8, False, False)}
+
+
+def test_sparse_rows_of_long_span_are_walked_and_dense_ones_transposed(monkeypatch):
+    """Q_10's rows span almost all 1024 columns but set only 10 bits each,
+    so its symmetry is walked; a 200-vertex permutation graph is
+    transposed."""
+    def refuse(*args):
+        raise AssertionError("wrong symmetry path")
+
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_transpose_asymmetry", refuse)
+        assert hypercube(10).num_edges() == 10 * 512
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_walk_asymmetry", refuse)
+        assert permutation_graph(random_permutation(200, 0)).n == 200
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,9 +77,24 @@ def test_degeneracy_matches_naive(g):
     assert degeneracy(g).value == naive_degeneracy(g)
 
 
+def _first_shattered_by_scan(g):
+    """The lexicographically first maximum shattered set, by testing every
+    d-subset in combinations order from floor(log2 n) down."""
+    hoods = [g.closed_neighborhood_mask(v) for v in range(g.n)]
+    for d in range(g.n.bit_length() - 1, 0, -1):
+        for candidate in itertools.combinations(range(g.n), d):
+            traces = {sum(1 << i for i, v in enumerate(candidate) if h >> v & 1) for h in hoods}
+            if len(traces) == 1 << d:
+                return frozenset(candidate)
+    return frozenset()
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs)
 def test_vc_matches_naive_and_log_bound(g):
-    value = vc_dimension(g).value
-    assert value == naive_vc_dimension(g)
-    assert value <= g.n.bit_length() - 1
+    res = vc_dimension(g)
+    assert res.value == naive_vc_dimension(g)
+    assert res.value <= g.n.bit_length() - 1
+    assert res.shattered == _first_shattered_by_scan(g)
+    hoods = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
+    assert len({res.shattered & h for h in hoods}) == 1 << res.value
