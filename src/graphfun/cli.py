@@ -21,10 +21,10 @@ import sys
 import time
 
 from . import __version__, families, hyper3, kexpr, verify, witnesses
-from .functionality import fun_graph, fun_vertex, is_function_of, min_fun
+from .functionality import FUN_EXACT_LIMIT, fun_graph, fun_vertex, is_function_of, min_fun
 from .graph import GraphFormatError, format_graph, mask_of, parse_graph
 from .params import degeneracy, vc_dimension
-from .symdiff import min_sd, sd_graph, sd_pair
+from .symdiff import SD_EXACT_LIMIT, min_sd, sd_graph, sd_pair
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fun = _modes(sub, "fun", "functionality of a vertex or graph", _cmd_fun,
                  "mode", "graphfile", ["vertex", "min", "graph"])
     fun["vertex"].add_argument("--vertex", type=int, required=True)
-    fun["graph"].add_argument("--exact-limit", type=int, default=14)
+    fun["graph"].add_argument("--exact-limit", type=int, default=FUN_EXACT_LIMIT)
     for m in fun.values():
         m.add_argument("--recheck", action="store_true")
 
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "mode", "graphfile", ["pair", "min", "graph"])
     sd["pair"].add_argument("--x", type=int, required=True)
     sd["pair"].add_argument("--y", type=int, required=True)
-    sd["graph"].add_argument("--exact-limit", type=int, default=14)
+    sd["graph"].add_argument("--exact-limit", type=int, default=SD_EXACT_LIMIT)
 
     d = sub.add_parser("degeneracy", help="degeneracy and elimination order")
     d.add_argument("graphfile")

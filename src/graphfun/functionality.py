@@ -70,24 +70,15 @@ def _domain(g: Graph, among: Optional[int], vertices: Iterable[int]) -> int:
     return among
 
 
-def is_function_of(
-    g: Graph, y: int, support: Iterable[int], among: Optional[int] = None
-) -> Optional[WitnessFunction]:
-    """Witness that y is a function of ``support`` in G[among] (all of G by
-    default), or None.
-
-    Each support row splits the outside vertices into profile cells: the
-    part of a cell inside the row and the part outside it, keeping the
-    non-empty parts only.  The support works iff every cell lies inside
-    N(y) or misses it; the table maps each cell's profile to that value.
-    """
-    supp = tuple(sorted(set(support)))
-    rest = _domain(g, among, (y,) + supp) & ~(mask_of(supp) | (1 << y))
-    if y in supp:
-        raise ValueError("target vertex may not belong to its own support")
-    cells = [(0, rest)] if rest else []
-    for i, x in enumerate(supp):
-        row = g.rows[x]
+def _cells(rows: tuple[int, ...], support: Iterable[int], domain: int) -> list[tuple[int, int]]:
+    """(profile, cell) for each profile cell of ``domain`` under the rows of
+    the ``support`` vertices, taken in increasing order.  Each support row
+    splits every cell into its part inside the row and its part outside,
+    keeping the non-empty parts only; bit i of a profile is adjacency to
+    the i-th support vertex."""
+    cells = [(0, domain)] if domain else []
+    for i, x in enumerate(support):
+        row = rows[x]
         bit = 1 << i
         split = []
         for p, cell in cells:
@@ -97,9 +88,38 @@ def is_function_of(
             if inside != cell:
                 split.append((p, cell ^ inside))
         cells = split
+    return cells
+
+
+def _splits(rows: tuple[int, ...], y: int, support: int, among: int) -> bool:
+    """Whether the ``support`` mask is a support for y in G[among]: every
+    profile cell of among - support - {y} lies inside N(y) or misses it.
+    The caller keeps y and ``support`` inside ``among``."""
+    yrow = rows[y]
+    for _, cell in _cells(rows, _bits(support), among & ~(support | 1 << y)):
+        adjacent = cell & yrow
+        if adjacent and adjacent != cell:
+            return False
+    return True
+
+
+def is_function_of(
+    g: Graph, y: int, support: Iterable[int], among: Optional[int] = None
+) -> Optional[WitnessFunction]:
+    """Witness that y is a function of ``support`` in G[among] (all of G by
+    default), or None.
+
+    The outside vertices fall into profile cells (``_cells``).  The support
+    works iff every cell lies inside N(y) or misses it; the table maps each
+    cell's profile to that value.
+    """
+    supp = tuple(sorted(set(support)))
+    rest = _domain(g, among, (y,) + supp) & ~(mask_of(supp) | (1 << y))
+    if y in supp:
+        raise ValueError("target vertex may not belong to its own support")
     yrow = g.rows[y]
     table: dict[int, int] = {}
-    for p, cell in cells:
+    for p, cell in _cells(g.rows, supp, rest):
         adjacent = cell & yrow
         if adjacent and adjacent != cell:
             return None
@@ -286,13 +306,30 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
     return _certified(g, y, frozenset(_bits(chosen)))
 
 
-def _min_fun_over(g: Graph, among: int, floor: int) -> Optional[tuple[int, frozenset[int]]]:
+# Supports kept per vertex by fun_graph's sweep, newest last.
+KEPT_SUPPORTS = 8
+
+# fun_graph's default exact_limit: G(20, 1/2) takes at most 0.7 s and
+# 20 MB on six seeds, G(22, 1/2) up to 3.3 s and G(24, 1/2) up to 15.6 s.
+FUN_EXACT_LIMIT = 20
+
+
+def _min_fun_over(
+    g: Graph, among: int, floor: int, kept: Optional[dict[int, list[int]]] = None
+) -> Optional[tuple[int, frozenset[int]]]:
     """(y, support) minimising fun over the vertices of G[among], lowest y
     on ties, or None as soon as some vertex has fun <= ``floor``.
 
     N(y) and its complement in G[among] are always supports, so a vertex
     whose degree or co-degree there is at most ``floor`` rejects the subset
-    before any search: fun_H(y) <= min(deg_H(y), |H|-1-deg_H(y)).
+    before any search: fun_H(y) <= min(deg_H(y), |H|-1-deg_H(y)).  A vertex
+    where that minimum is 0 has fun 0, so the first one is the arg-min.
+
+    ``kept``, when given, maps a vertex y to up to ``KEPT_SUPPORTS`` masks
+    S, each a support for y in some earlier subset.  Removing vertices only
+    removes conflict pairs, so a kept S with S + {y} inside H and |S| <=
+    ``floor`` that splits in G[H] rejects H before any search is run; a
+    search that rejects H adds its support to y's list.
     """
     rows = g.rows
     last = among.bit_count() - 1
@@ -303,6 +340,16 @@ def _min_fun_over(g: Graph, among: int, floor: int) -> Optional[tuple[int, froze
         d = (rows[low.bit_length() - 1] & among).bit_count()
         if d <= floor or last - d <= floor:
             return None
+        if not d or d == last:
+            # fun_H(y) = 0, so (the floor being negative) y is the arg-min.
+            return low.bit_length() - 1, frozenset()
+    if kept is not None:
+        for y, supports in kept.items():
+            if not among >> y & 1:
+                continue
+            for s in supports:
+                if not s & ~among and s.bit_count() <= floor and _splits(rows, y, s, among):
+                    return None
     best = None
     cap: Optional[int] = None
     for y in _bits(among):
@@ -310,6 +357,10 @@ def _min_fun_over(g: Graph, among: int, floor: int) -> Optional[tuple[int, froze
         if found is not None:
             best, cap = (y, found), len(found)
             if cap <= floor:
+                if kept is not None:
+                    supports = kept.setdefault(y, [])
+                    supports.append(mask_of(found))
+                    del supports[:-KEPT_SUPPORTS]
                 return None
             if cap == 0:
                 break
@@ -326,39 +377,52 @@ def min_fun(g: Graph) -> FunResult:
     return _certified(g, *found)
 
 
-def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
+def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     """Exact fun(G): maximum over all nonempty induced subgraphs of min_fun.
 
-    Rejects graphs above ``exact_limit``; use fun_graph_lower for those.
-    graph.hereditary_max_min scores each subset H as a vertex mask of G and
-    stops at the first size whose bound floor((|H|-1)/2) cannot beat the
-    best value.  Its search peels each node's candidates to their core
-    (Batagelj and Zaversnik's generalised cores): it keeps dropping every
-    vertex whose degree or co-degree among the remaining candidates is at
-    most the best value, and cuts the node once a dropped vertex is
-    included.  Both only fall as vertices go, and N(y) and its complement
-    are supports, so the first vertex of H to be dropped has fun_H at most
-    the best value: no H that beats it loses a vertex.  Every subset the
-    peeling removes would fail the degree check of ``_min_fun_over``, so
-    the hitting-set searches are the same.  Every subset ``score`` accepts
-    becomes the best, and up to that point ``_min_fun_over`` ran as it
-    would with no floor, so the last support it returned is the winner's:
-    it is certified on G restricted to the winning subset, not searched
-    again.
+    Rejects graphs above ``exact_limit``; fun_graph_lower gives a lower
+    bound for those, with no certificate.  graph.hereditary_max_min scores
+    each subset H as a vertex mask of G and stops at the first size whose
+    bound floor((|H|-1)/2) cannot beat the best value.
+
+    Its search peels each node's candidates to their core (Batagelj and
+    Zaversnik's generalised cores): it keeps dropping every vertex whose
+    degree or co-degree among the remaining candidates is at most the best
+    value, and cuts the node once a dropped vertex is included.  Both only
+    fall as vertices go, and N(y) and its complement are supports, so the
+    first vertex of H to be dropped has fun_H at most the best value: no H
+    that beats it loses a vertex.
+
+    The sweep also reuses the supports it has found.  When a hitting-set
+    search shows fun_H(y) <= floor with a support S, y keeps S (the last
+    ``KEPT_SUPPORTS`` of them).  A support for y in G[C] stays one in every
+    G[H] with S + {y} inside H inside C, since removing vertices only
+    removes conflict pairs.  So ``score`` rejects H when a kept S with
+    |S| <= floor and S + {y} inside H splits in G[H], before any search;
+    and after the peel, ``dead`` cuts the node when a kept S + {y} lies in
+    ``inc`` and S splits in G[alive], and drops w alone when S + {y} lies
+    in ``inc`` + {w}.  A support is only kept, never changed, so every
+    answer is sound and the same subsets improve the best value.
+
+    Every subset ``score`` accepts becomes the best, and up to that point
+    ``_min_fun_over`` ran as it would with no floor, so the last support it
+    returned is the winner's: it is certified on G restricted to the
+    winning subset, not searched again.
     """
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
     if g.n > exact_limit:
         raise ValueError(
-            f"n={g.n} exceeds exact_limit={exact_limit}; use fun_graph_lower "
-            "for a certified lower bound"
+            f"n={g.n} exceeds exact_limit={exact_limit}; fun_graph_lower "
+            "gives a lower bound, with no certificate"
         )
 
     winner: Optional[tuple[int, frozenset[int]]] = None
+    kept: dict[int, list[int]] = {}
 
     def score(among: int, floor: int) -> Optional[int]:
         nonlocal winner
-        found = _min_fun_over(g, among, floor)
+        found = _min_fun_over(g, among, floor, kept)
         if found is None:
             return None
         winner = found
@@ -384,6 +448,19 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
                     alive ^= low
                     last -= 1
                     peeled = True
+        # Kept supports: S + {y} inside inc cuts the node, and S + {y}
+        # missing inc by one candidate w drops w, when S splits in G[alive].
+        for y, supports in kept.items():
+            low = 1 << y
+            for s in supports:
+                need = s | low
+                miss = need & ~inc
+                if miss & (miss - 1) or need & ~alive or s.bit_count() > floor:
+                    continue
+                if _splits(rows, y, s, alive):
+                    if not miss:
+                        return cand
+                    alive ^= miss
         return cand ^ alive
 
     _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
@@ -391,8 +468,8 @@ def fun_graph(g: Graph, exact_limit: int = 14) -> FunResult:
 
 
 def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
-    """Certified lower bound on fun(G): max of min_fun over G itself and
-    ``trials`` seeded random induced subgraphs."""
+    """Lower bound on fun(G), as a bare int with no certificate: max of
+    min_fun over G itself and ``trials`` seeded random induced subgraphs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

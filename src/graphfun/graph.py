@@ -252,13 +252,14 @@ def hereditary_max_min(
     and the first attaining subset is unchanged.
 
     A child's ``cand`` does not depend on the size being searched, so the
-    same child comes back at every size.  ``dead`` must be a pure function
-    of (inc, cand, floor); its answers are kept in a dict keyed by (inc,
-    cand) and emptied whenever the best value rises, so each triple is
-    asked once and a kept answer is the one a new call would give.  A
-    child with size - 1 members is a leaf one size down, so its answer is
-    not kept.  The sweep visits the same nodes and scores the same subsets
-    with the same floors as one that asks every time.  The search keeps an
+    same child comes back at every size.  ``dead``'s answers are kept in a
+    dict keyed by (inc, cand) and emptied whenever the best value rises, so
+    each triple is asked once.  ``dead`` need only be sound: it may read
+    state that grows during the call, such as supports its solver's
+    ``score`` has found, so a kept answer can be weaker than a fresh one
+    but never wrong.  A child with size - 1 members is a leaf one size
+    down, so its answer is not kept.  As long as ``dead`` is sound, the
+    same subsets improve the best, with the same floors.  The search keeps an
     explicit stack, so its depth is not bound by the interpreter's
     recursion limit, and the dict lives for one call only.
     """

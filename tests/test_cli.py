@@ -420,13 +420,27 @@ def test_package_runs_as_a_module():
     assert json.loads(proc.stdout)["result"]["passed"] is True
 
 
-@pytest.mark.parametrize("argv", [["fun", "min"], ["fun", "vertex", "--vertex", "0"]],
-                         ids=["min", "vertex"])
-def test_recheck_holds_under_python_O(tmp_path, capsys, argv):
+@pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 28)])
+def test_graph_modes_default_to_their_exact_limits(tmp_path, capsys, command, limit):
+    path = tmp_path / "g.txt"
+    write_graph(random_graph(limit, 0.0, 0), path)
+    assert run(capsys, [command, "graph", str(path)])[0] == 0
+    write_graph(random_graph(limit + 1, 0.0, 0), path)
+    assert main([command, "graph", str(path)]) == 2
+    assert f"exceeds exact_limit={limit}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["fun", "min"], 24),
+    (["fun", "vertex", "--vertex", "0"], 24),
+    # at the default exact limit, above the old one of 14
+    (["fun", "graph"], 20),
+], ids=["min", "vertex", "graph"])
+def test_recheck_holds_under_python_O(tmp_path, capsys, argv, n):
     # -O strips assert statements, so the checks the CLI relies on must not
     # be asserts: the rechecked result must come out the same
     path = tmp_path / "g.txt"
-    write_graph(random_graph(24, 0.5, 11), path)
+    write_graph(random_graph(n, 0.5, 11), path)
     command = argv[:2] + [str(path)] + argv[2:] + ["--recheck"]
     code, report = run(capsys, command)
     assert code == 0 and report["result"]["recheck"] is True

@@ -95,17 +95,21 @@ GOLDEN_SWEEPS = {
         (3, 0, [2, 4, 6], [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15]),
         (3, (0, 6), list(range(15))),
     ),
-    # Recorded before the depth-first subset search; fun_graph on G(20, 1/2)
-    # is left out because its hitting-set searches take seconds.
+    # Recorded before the depth-first subset search ...
     "G(18,0.5)": (
         (3, 1, [2, 3, 9], [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
         (3, (1, 14), [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17]),
     ),
+    # ... except fun_graph on G(20, 1/2), recorded before its sweep kept
+    # supports, when each call took 1.4-3.6 s.
     "G(20,0.5)#6": (
-        None,
+        (3, 1, [5, 7, 17], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19]),
         (5, (0, 3), [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19]),
     ),
-    "G(20,0.5)#7": (None, (4, (2, 11), list(range(20)))),
+    "G(20,0.5)#7": (
+        (3, 0, [5, 10, 16], list(range(20))),
+        (4, (2, 11), list(range(20))),
+    ),
 }
 
 
@@ -113,9 +117,8 @@ GOLDEN_SWEEPS = {
 def test_sweeps_are_reproduced(name):
     g = GRAPHS[name]()
     golden_fun, golden_sd = GOLDEN_SWEEPS[name]
-    if golden_fun is not None:
-        f = fun_graph(g, exact_limit=g.n)
-        assert (f.value, f.witness_vertex, sorted(f.witness_set), sorted(f.subgraph)) == golden_fun
+    f = fun_graph(g, exact_limit=g.n)
+    assert (f.value, f.witness_vertex, sorted(f.witness_set), sorted(f.subgraph)) == golden_fun
     s = sd_graph(g, exact_limit=g.n)
     assert (s.value, s.pair, sorted(s.subgraph)) == golden_sd
 
@@ -160,6 +163,9 @@ RULES = {
 # ... and vertex 0 of inc only once vertices 2 and 3 are gone, so the
 # answer is all of cand.
 @example(n=4, p=0.2, seed=1, pick_cand=15, pick_inc=0b1, floor=0)
+# fun's solver run leaves kept supports larger than this floor, which may
+# neither cut the node nor drop a vertex.
+@example(n=7, p=0.5, seed=6, pick_cand=127, pick_inc=0b10, floor=-1)
 def test_dead_rules_are_sound(rule, n, p, seed, pick_cand, pick_inc, floor):
     """Every H with inc ⊆ H ⊆ cand that holds a dropped vertex has naive
     min at most ``floor``; when the drop meets inc, that is every such H."""
@@ -235,6 +241,29 @@ def test_sweeps_match_plain_combinations_sweep(n, p, seed):
     assert s.pair == (mapping[inner.pair[0]], mapping[inner.pair[1]])
 
 
+def _complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=11),
+    p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweeps_are_invariant_under_complement(n, p, seed):
+    """A support for y in G[H] is one in the complement of G[H], and sd
+    counts the same vertices, so both sweeps report the same value, vertex
+    or pair, and subgraph on G and on its complement."""
+    g = random_graph(n, p, seed)
+    co = _complement(g)
+    f, cf = fun_graph(g), fun_graph(co)
+    assert (f.value, f.witness_vertex, f.subgraph) == (cf.value, cf.witness_vertex, cf.subgraph)
+    s, cs = sd_graph(g), sd_graph(co)
+    assert (s.value, s.pair, s.subgraph) == (cs.value, cs.pair, cs.subgraph)
+
+
 def _parent_sweep(g, min_size, bound, score, dead):
     """graph.hereditary_max_min before it kept ``dead``'s answers: the same
     search, asking ``dead`` at every node it makes."""
@@ -286,9 +315,13 @@ def _parent_sweep(g, min_size, bound, score, dead):
 def test_kept_answers_change_no_scoring(rule, n, p, seed):
     """With each solver's own score and dead, the sweep scores the same
     (mask, floor) sequence as the parent loop, and asks dead about each
-    (inc, cand, floor) at most once."""
+    (inc, cand, floor) at most once.  fun's dead also reads the supports
+    its score keeps, so fun is checked by _fun_sweeps_agree instead."""
     module, solver, _, _ = RULES[rule]
     g = random_graph(n, p, seed)
+    if rule == "fun":
+        _fun_sweeps_agree(g)
+        return
     min_size, bound, score, dead = _sweep_args(module, solver, g)
     results, scored, asked = [], [], []
     for sweep in (_parent_sweep, hereditary_max_min):
@@ -310,6 +343,60 @@ def test_kept_answers_change_no_scoring(rule, n, p, seed):
     assert set(asked[1]) == set(asked[0])
 
 
+def _solve_logged(module, solver, g, sweep):
+    """``solver``'s result on ``g`` with its sweep replaced by ``sweep``,
+    the (mask, floor, value) of every score call and the (inc, cand, floor)
+    of every dead call, all from one solver call with fresh closures."""
+    scored, asked = [], []
+    real = module.hereditary_max_min
+
+    def logged(g, min_size, bound, score, dead):
+        def logged_score(mask, floor):
+            value = score(mask, floor)
+            scored.append((mask, floor, value))
+            return value
+
+        def logged_dead(inc, cand, floor):
+            asked.append((inc, cand, floor))
+            return dead(inc, cand, floor)
+
+        return sweep(g, min_size, bound, logged_score, logged_dead)
+
+    module.hereditary_max_min = logged
+    try:
+        result = solver(g, exact_limit=g.n)
+    finally:
+        module.hereditary_max_min = real
+    return result, scored, asked
+
+
+def _fun_sweeps_agree(g):
+    """fun_graph run once on the parent loop and once on the sweep that
+    keeps dead's answers: the same FunResult, the same subsets raising the
+    best value with the same floors and values, each run's scored subsets
+    in plain-sweep order with the plain sweep's floors, and each dead
+    question asked at most once by the sweep that keeps answers."""
+    plain, best = {}, -1
+    for size in range(g.n, 0, -1):
+        for subset in itertools.combinations(range(g.n), size):
+            mask = mask_of(subset)
+            plain[mask] = (len(plain), best)
+            value = _fun_score(g, mask, best)
+            if value is not None:
+                best = value
+    runs = [_solve_logged(functionality, fun_graph, g, sweep)
+            for sweep in (_parent_sweep, hereditary_max_min)]
+    assert runs[0][0] == runs[1][0]
+    raised = [[entry for entry in scored if entry[2] is not None] for _, scored, _ in runs]
+    assert raised[0] == raised[1]
+    for _, scored, _ in runs:
+        places = [plain[mask] for mask, _, _ in scored]
+        assert [floor for _, floor, _ in scored] == [floor for _, floor in places]
+        assert all(a[0] < b[0] for a, b in zip(places, places[1:]))
+    asked = runs[1][2]
+    assert len(set(asked)) == len(asked)
+
+
 def test_deep_search_ignores_the_recursion_limit():
     """K_1200 makes each size's search 1200 vertices deep."""
     n = 1200
@@ -321,14 +408,24 @@ def test_deep_search_ignores_the_recursion_limit():
 
 
 # _fun_search calls of fun_graph and subsets scored by fun_graph and
-# sd_graph, counted on the parent of the depth-first subset search.  The
-# searches must stay the same, less the ones fun_graph made to search its
-# winning subset again (11, 11, 8 and 12); the scored subsets must fall.
+# sd_graph, counted on the parent of the depth-first subset search, less
+# the searches fun_graph made to search its winning subset again (11, 11,
+# 8 and 12).  The scored subsets must fall.
 PARENT_WORK = {
     "G(12,0.2)": (17, 3302, 3797),
     "G(12,0.5)": (29, 1586, 3302),
     "G(12,0.8)": (75, 1586, 3302),
     "unit-interval-12": (419, 3302, 3797),
+}
+
+# fun_graph's _fun_search calls since its scorer and dead read the
+# supports the sweep keeps, and its scorer takes a vertex of degree or
+# co-degree 0 as the arg-min unsearched; each must stay below the parent's.
+FUN_SEARCHES = {
+    "G(12,0.2)": 11,
+    "G(12,0.5)": 26,
+    "G(12,0.8)": 24,
+    "unit-interval-12": 24,
 }
 
 
@@ -363,6 +460,7 @@ def test_search_work_is_kept_and_scoring_falls(name, monkeypatch):
     searches, fun_scored, sd_scored = PARENT_WORK[name]
     fun_searches, fun_now = _work(fun_graph, g, monkeypatch)
     sd_searches, sd_now = _work(sd_graph, g, monkeypatch)
-    assert (fun_searches, sd_searches) == (searches, 0)
+    assert (fun_searches, sd_searches) == (FUN_SEARCHES[name], 0)
+    assert fun_searches < searches
     assert fun_now < fun_scored
     assert sd_now < sd_scored
