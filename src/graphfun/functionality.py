@@ -306,16 +306,40 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
     return _certified(g, y, frozenset(_bits(chosen)))
 
 
-# Supports kept per vertex by fun_graph's sweep, newest last.
-KEPT_SUPPORTS = 8
-
-# fun_graph's default exact_limit: G(20, 1/2) takes at most 0.7 s and
-# 20 MB on six seeds, G(22, 1/2) up to 3.3 s and G(24, 1/2) up to 15.6 s.
+# fun_graph's default exact_limit.  At n = 20, G(n, 1/2) takes at most
+# 0.6 s and 19 MB (eight seeds); permutation graphs and unit-interval
+# graphs of every density tried take at most 0.17 s and 17 MB.  G(22, 1/2)
+# takes up to 3.0 s.
 FUN_EXACT_LIMIT = 20
 
 
+def _kept_peel(
+    rows: tuple[int, ...], kept: dict[int, list[int]], inc: int, alive: int, floor: int
+) -> Optional[int]:
+    """``alive`` less each candidate w that a kept support rules out, or
+    None when one rules out every H with ``inc`` inside H inside ``alive``.
+
+    A kept S for y with |S| <= ``floor`` that splits in G[alive] is a
+    support in every G[H] with S + {y} inside H inside ``alive``, so each
+    such H has min fun at most ``floor``: every H when S + {y} lies in
+    ``inc``, and every H holding w when S + {y} lies in ``inc`` + {w}.
+    """
+    for y, supports in kept.items():
+        low = 1 << y
+        for s in supports:
+            need = s | low
+            miss = need & ~inc
+            if miss & (miss - 1) or need & ~alive or s.bit_count() > floor:
+                continue
+            if _splits(rows, y, s, alive):
+                if not miss:
+                    return None
+                alive ^= miss
+    return alive
+
+
 def _min_fun_over(
-    g: Graph, among: int, floor: int, kept: Optional[dict[int, list[int]]] = None
+    g: Graph, among: int, floor: int, kept: dict[int, list[int]]
 ) -> Optional[tuple[int, frozenset[int]]]:
     """(y, support) minimising fun over the vertices of G[among], lowest y
     on ties, or None as soon as some vertex has fun <= ``floor``.
@@ -325,11 +349,11 @@ def _min_fun_over(
     before any search: fun_H(y) <= min(deg_H(y), |H|-1-deg_H(y)).  A vertex
     where that minimum is 0 has fun 0, so the first one is the arg-min.
 
-    ``kept``, when given, maps a vertex y to up to ``KEPT_SUPPORTS`` masks
-    S, each a support for y in some earlier subset.  Removing vertices only
-    removes conflict pairs, so a kept S with S + {y} inside H and |S| <=
-    ``floor`` that splits in G[H] rejects H before any search is run; a
-    search that rejects H adds its support to y's list.
+    ``kept`` maps a vertex y to masks S, each a support for y in some
+    earlier subset.  Removing vertices only removes conflict pairs, so a
+    kept S with S + {y} inside H and |S| <= ``floor`` that splits in G[H]
+    rejects H before any search is run (``_kept_peel``); a search that
+    rejects H adds its support to y's list.
     """
     rows = g.rows
     last = among.bit_count() - 1
@@ -343,13 +367,8 @@ def _min_fun_over(
         if not d or d == last:
             # fun_H(y) = 0, so (the floor being negative) y is the arg-min.
             return low.bit_length() - 1, frozenset()
-    if kept is not None:
-        for y, supports in kept.items():
-            if not among >> y & 1:
-                continue
-            for s in supports:
-                if not s & ~among and s.bit_count() <= floor and _splits(rows, y, s, among):
-                    return None
+    if _kept_peel(rows, kept, among, among, floor) is None:
+        return None
     best = None
     cap: Optional[int] = None
     for y in _bits(among):
@@ -357,10 +376,7 @@ def _min_fun_over(
         if found is not None:
             best, cap = (y, found), len(found)
             if cap <= floor:
-                if kept is not None:
-                    supports = kept.setdefault(y, [])
-                    supports.append(mask_of(found))
-                    del supports[:-KEPT_SUPPORTS]
+                kept.setdefault(y, []).append(mask_of(found))
                 return None
             if cap == 0:
                 break
@@ -371,7 +387,7 @@ def min_fun(g: Graph) -> FunResult:
     """Minimum of fun over all vertices, arg-min vertex lowest index on ties."""
     if g.n == 0:
         raise ValueError("min_fun of the empty graph is undefined")
-    found = _min_fun_over(g, (1 << g.n) - 1, -1)
+    found = _min_fun_over(g, (1 << g.n) - 1, -1, {})
     if found is None:
         raise RuntimeError("no vertex has a support")
     return _certified(g, *found)
@@ -394,15 +410,15 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     that beats it loses a vertex.
 
     The sweep also reuses the supports it has found.  When a hitting-set
-    search shows fun_H(y) <= floor with a support S, y keeps S (the last
-    ``KEPT_SUPPORTS`` of them).  A support for y in G[C] stays one in every
-    G[H] with S + {y} inside H inside C, since removing vertices only
-    removes conflict pairs.  So ``score`` rejects H when a kept S with
-    |S| <= floor and S + {y} inside H splits in G[H], before any search;
-    and after the peel, ``dead`` cuts the node when a kept S + {y} lies in
-    ``inc`` and S splits in G[alive], and drops w alone when S + {y} lies
-    in ``inc`` + {w}.  A support is only kept, never changed, so every
-    answer is sound and the same subsets improve the best value.
+    search shows fun_H(y) <= floor with a support S, y keeps S.  A support
+    for y in G[C] stays one in every G[H] with S + {y} inside H inside C,
+    since removing vertices only removes conflict pairs.  So ``score``
+    rejects H when a kept S with |S| <= floor and S + {y} inside H splits
+    in G[H], before any search; and after the peel, ``dead`` cuts the node
+    when a kept S + {y} lies in ``inc`` and S splits in G[alive], and drops
+    w alone when S + {y} lies in ``inc`` + {w} (both ``_kept_peel``).  A
+    support is only kept, never changed, so every answer is sound and the
+    same subsets improve the best value.
 
     Every subset ``score`` accepts becomes the best, and up to that point
     ``_min_fun_over`` ran as it would with no floor, so the last support it
@@ -448,20 +464,8 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
                     alive ^= low
                     last -= 1
                     peeled = True
-        # Kept supports: S + {y} inside inc cuts the node, and S + {y}
-        # missing inc by one candidate w drops w, when S splits in G[alive].
-        for y, supports in kept.items():
-            low = 1 << y
-            for s in supports:
-                need = s | low
-                miss = need & ~inc
-                if miss & (miss - 1) or need & ~alive or s.bit_count() > floor:
-                    continue
-                if _splits(rows, y, s, alive):
-                    if not miss:
-                        return cand
-                    alive ^= miss
-        return cand ^ alive
+        alive = _kept_peel(rows, kept, inc, alive, floor)
+        return cand if alive is None else cand ^ alive
 
     _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
     return _certified(g, *winner, mask_of(best_subset))
@@ -474,11 +478,12 @@ def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     best = min_fun(g).value
+    kept: dict[int, list[int]] = {}
     for _ in range(trials):
         subset = mask_of(v for v in range(g.n) if rng.random() < 0.5)
         if not subset:
             continue
-        found = _min_fun_over(g, subset, best)
+        found = _min_fun_over(g, subset, best, kept)
         if found is not None:
             best = len(found[1])
     return best

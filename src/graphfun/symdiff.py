@@ -7,9 +7,12 @@ from typing import Optional
 from .graph import Graph, hereditary_max_min, induced_subgraph, sym_diff_mask
 
 
-# sd_graph's default exact_limit: G(28, 1/2) takes at most 1.1 s and 29 MB
-# on six seeds, G(32, 1/2) up to 2.0 s and G(36, 1/2) up to 9.3 s.
-SD_EXACT_LIMIT = 28
+# sd_graph's default exact_limit.  At n = 24, G(n, 1/2), permutation
+# graphs and unit-interval graphs with left endpoints in [0, w), w = 2, 4,
+# 7, 10, take at most 1.0 s and 29 MB (six or eight seeds each); at n = 26
+# unit-interval graphs take up to 2.1 s and 44 MB, and at n = 28 up to
+# 6.6 s and 98 MB.
+SD_EXACT_LIMIT = 24
 
 
 @dataclass(frozen=True)

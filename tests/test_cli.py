@@ -420,7 +420,7 @@ def test_package_runs_as_a_module():
     assert json.loads(proc.stdout)["result"]["passed"] is True
 
 
-@pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 28)])
+@pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 24)])
 def test_graph_modes_default_to_their_exact_limits(tmp_path, capsys, command, limit):
     path = tmp_path / "g.txt"
     write_graph(random_graph(limit, 0.0, 0), path)

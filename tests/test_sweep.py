@@ -34,7 +34,7 @@ def test_min_fun_over_matches_naive(n, p, seed, pick, floor):
     among = pick & ((1 << n) - 1) or 1
     sub, mapping = induced_subgraph(g, [v for v in range(n) if among >> v & 1])
     values = [naive_fun_vertex(sub, y) for y in range(sub.n)]
-    found = _min_fun_over(g, among, floor)
+    found = _min_fun_over(g, among, floor, {})
     if min(values) <= floor:
         assert found is None
         return
@@ -218,7 +218,7 @@ def _pairwise_sd(g, among, floor):
 
 
 def _fun_score(g, among, floor):
-    found = _min_fun_over(g, among, floor)
+    found = _min_fun_over(g, among, floor, {})
     return None if found is None else len(found[1])
 
 
