@@ -127,11 +127,11 @@ def is_function_of(
     return WitnessFunction(y, supp, table, among)
 
 
-def _resolver_masks(g: Graph, y: int, among: Optional[int] = None) -> list[int]:
-    """One bitmask per conflict pair of y in G[among] (all of G by default):
-    the vertices whose presence in S resolves it (the pair itself plus every
-    distinguishing vertex of ``among``, y excluded)."""
-    others = ((1 << g.n) - 1 if among is None else among) & ~(1 << y)
+def _resolver_masks(g: Graph, y: int, among: int) -> list[int]:
+    """One bitmask per conflict pair of y in G[among]: the vertices whose
+    presence in S resolves it (the pair itself plus every distinguishing
+    vertex of ``among``, y excluded)."""
+    others = among & ~(1 << y)
     yrow = g.rows[y]
     nonneigh = list(_bits(others & ~yrow))
     masks = []
@@ -240,30 +240,18 @@ def _finish(unresolved: list[int], bit: int, allowed: int) -> int:
     return bit if common < 0 else bit | (common & -common)
 
 
-def _trivial_feasible(g: Graph, y: int, among: Optional[int] = None) -> int:
-    """N(y) or the non-neighbourhood within G[among], whichever is smaller,
-    as a mask.  Both are always feasible supports (constant function
-    outside)."""
-    others = ((1 << g.n) - 1 if among is None else among) & ~(1 << y)
-    neigh = g.rows[y] & others
-    non = others & ~neigh
-    return neigh if neigh.bit_count() <= non.bit_count() else non
-
-
-def _fun_search(
-    g: Graph, y: int, cap: Optional[int] = None, among: Optional[int] = None
-) -> Optional[frozenset[int]]:
-    """Minimum support for y in G[among] (all of G by default) of size < cap
-    (cap=None means unbounded)."""
-    limit = cap if cap is not None else g.n
+def _fun_search(g: Graph, y: int, cap: int, among: int) -> Optional[frozenset[int]]:
+    """Minimum support for y in G[among] of size < cap, or None.  N(y) and
+    its complement in G[among] are always supports (constant function
+    outside); the smaller seeds the bound."""
     masks = _resolver_masks(g, y, among)
     if not masks:
-        return frozenset() if limit > 0 else None
-    init = _trivial_feasible(g, y, among)
-    best = _min_hitting_set(masks, limit, init)
-    if best is None:
-        return None
-    return frozenset(_bits(best))
+        return frozenset() if cap > 0 else None
+    others = among & ~(1 << y)
+    neigh = g.rows[y] & others
+    non = others ^ neigh
+    best = _min_hitting_set(masks, cap, neigh if neigh.bit_count() <= non.bit_count() else non)
+    return None if best is None else frozenset(_bits(best))
 
 
 def _certified(
@@ -281,15 +269,14 @@ def _certified(
 
 def fun_vertex(g: Graph, y: int) -> FunResult:
     """Exact fun(y) with an attaining support and verified witness."""
-    _domain(g, None, (y,))
-    return _certified(g, y, _fun_search(g, y))
+    full = _domain(g, None, (y,))
+    return _certified(g, y, _fun_search(g, y, g.n, full))
 
 
 def fun_vertex_upper(g: Graph, y: int) -> FunResult:
     """Greedy upper bound on fun(y): repeatedly add the vertex resolving
     the most unresolved conflict pairs, ties by lowest index."""
-    _domain(g, None, (y,))
-    masks = _resolver_masks(g, y)
+    masks = _resolver_masks(g, y, _domain(g, None, (y,)))
     chosen = 0
     while True:
         unresolved = [m for m in masks if not m & chosen]
@@ -313,17 +300,45 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
 FUN_EXACT_LIMIT = 20
 
 
-def _kept_peel(
+def _peel(
     rows: tuple[int, ...], kept: dict[int, list[int]], inc: int, alive: int, floor: int
 ) -> Optional[int]:
-    """``alive`` less each candidate w that a kept support rules out, or
-    None when one rules out every H with ``inc`` inside H inside ``alive``.
+    """``alive`` less vertices that no H with ``inc`` inside H inside
+    ``alive`` and min fun_H above ``floor`` can hold, or None once no such
+    H is left.  Sound, not complete.
 
-    A kept S for y with |S| <= ``floor`` that splits in G[alive] is a
-    support in every G[H] with S + {y} inside H inside ``alive``, so each
-    such H has min fun at most ``floor``: every H when S + {y} lies in
-    ``inc``, and every H holding w when S + {y} lies in ``inc`` + {w}.
+    The rule: fun_H(y) <= |S| for every support S of y in G[H].  N(y) and
+    its complement are supports, so fun_H(y) <= min(deg_H(y),
+    |H|-1-deg_H(y)); and a support for y in G[C] stays one in every G[H]
+    with S + {y} inside H inside C, since removing vertices only removes
+    conflict pairs.
+
+    First ``alive`` is peeled to its core (Batagelj and Zaversnik's
+    generalised cores): every vertex whose degree or co-degree among the
+    vertices left is at most ``floor`` is dropped, in passes until one
+    drops nothing, since a drop can doom a vertex a pass already kept.
+    Both only fall as vertices go, so the first vertex of H to be dropped
+    has fun_H at most ``floor``.  Then ``kept``, which maps y to masks S
+    found as supports for y in earlier subsets, is read: an S with
+    |S| <= ``floor`` that splits in G[alive] drops w alone when S + {y}
+    lies in ``inc`` + {w}.  The answer is None as soon as a dropped
+    vertex, or all of such an S + {y}, lies in ``inc``.
     """
+    last = alive.bit_count() - 1
+    peeled = True
+    while peeled:
+        peeled = False
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (rows[low.bit_length() - 1] & alive).bit_count()
+            if d <= floor or last - d <= floor:
+                if low & inc:
+                    return None
+                alive ^= low
+                last -= 1
+                peeled = True
     for y, supports in kept.items():
         low = 1 << y
         for s in supports:
@@ -344,33 +359,23 @@ def _min_fun_over(
     """(y, support) minimising fun over the vertices of G[among], lowest y
     on ties, or None as soon as some vertex has fun <= ``floor``.
 
-    N(y) and its complement in G[among] are always supports, so a vertex
-    whose degree or co-degree there is at most ``floor`` rejects the subset
-    before any search: fun_H(y) <= min(deg_H(y), |H|-1-deg_H(y)).  A vertex
-    where that minimum is 0 has fun 0, so the first one is the arg-min.
-
-    ``kept`` maps a vertex y to masks S, each a support for y in some
-    earlier subset.  Removing vertices only removes conflict pairs, so a
-    kept S with S + {y} inside H and |S| <= ``floor`` that splits in G[H]
-    rejects H before any search is run (``_kept_peel``); a search that
-    rejects H adds its support to y's list.
+    ``_peel`` rejects G[among] before any search; a search that rejects it
+    adds its support to y's list in ``kept``.  At a negative floor nothing
+    can be peeled, and the first vertex of degree or co-degree 0 in
+    G[among] has fun 0, so it is the arg-min unsearched.
     """
     rows = g.rows
-    last = among.bit_count() - 1
-    rest = among
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        d = (rows[low.bit_length() - 1] & among).bit_count()
-        if d <= floor or last - d <= floor:
+    if floor >= 0:
+        if _peel(rows, kept, among, among, floor) is None:
             return None
-        if not d or d == last:
-            # fun_H(y) = 0, so (the floor being negative) y is the arg-min.
-            return low.bit_length() - 1, frozenset()
-    if _kept_peel(rows, kept, among, among, floor) is None:
-        return None
+    else:
+        last = among.bit_count() - 1
+        for y in _bits(among):
+            d = (rows[y] & among).bit_count()
+            if not d or d == last:
+                return y, frozenset()
     best = None
-    cap: Optional[int] = None
+    cap = g.n
     for y in _bits(among):
         found = _fun_search(g, y, cap, among)
         if found is not None:
@@ -401,22 +406,8 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     each subset H as a vertex mask of G and stops at the first size whose
     bound floor((|H|-1)/2) cannot beat the best value.
 
-    Its search peels each node's candidates to their core (Batagelj and
-    Zaversnik's generalised cores): it keeps dropping every vertex whose
-    degree or co-degree among the remaining candidates is at most the best
-    value, and cuts the node once a dropped vertex is included.  Both only
-    fall as vertices go, and N(y) and its complement are supports, so the
-    first vertex of H to be dropped has fun_H at most the best value: no H
-    that beats it loses a vertex.
-
-    The sweep also reuses the supports it has found.  When a hitting-set
-    search shows fun_H(y) <= floor with a support S, y keeps S.  A support
-    for y in G[C] stays one in every G[H] with S + {y} inside H inside C,
-    since removing vertices only removes conflict pairs.  So ``score``
-    rejects H when a kept S with |S| <= floor and S + {y} inside H splits
-    in G[H], before any search; and after the peel, ``dead`` cuts the node
-    when a kept S + {y} lies in ``inc`` and S splits in G[alive], and drops
-    w alone when S + {y} lies in ``inc`` + {w} (both ``_kept_peel``).  A
+    ``score`` (through ``_min_fun_over``) and ``dead`` both apply
+    ``_peel`` with the supports ``kept`` by the sweep's searches.  A
     support is only kept, never changed, so every answer is sound and the
     same subsets improve the best value.
 
@@ -444,27 +435,8 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
         winner = found
         return len(found[1])
 
-    rows = g.rows
-
     def dead(inc: int, cand: int, floor: int) -> int:
-        # Peel cand to its core (see above); passes repeat until one drops
-        # nothing, since a drop can doom a vertex the pass already kept.
-        alive, last = cand, cand.bit_count() - 1
-        peeled = True
-        while peeled:
-            peeled = False
-            rest = alive
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                d = (rows[low.bit_length() - 1] & alive).bit_count()
-                if d <= floor or last - d <= floor:
-                    if low & inc:
-                        return cand
-                    alive ^= low
-                    last -= 1
-                    peeled = True
-        alive = _kept_peel(rows, kept, inc, alive, floor)
+        alive = _peel(g.rows, kept, inc, cand, floor)
         return cand if alive is None else cand ^ alive
 
     _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)

@@ -21,7 +21,7 @@ from .families import (
     random_unit_intervals,
     sd_construction,
 )
-from .functionality import _fun_search, fun_graph, fun_vertex, min_fun
+from .functionality import _min_fun_over, fun_graph, fun_vertex, min_fun
 from .graph import Graph, induced_subgraph, is_twin_pair
 from .params import degeneracy, vc_dimension
 from .symdiff import min_sd, sd_graph, sd_pair
@@ -38,7 +38,7 @@ def _cycle_graphs(seed: int, cases: int, n_max: int = 9):
 
 
 def _min_fun_at_most(g: Graph, k: int) -> bool:
-    return any(_fun_search(g, y, k + 1) is not None for y in range(g.n))
+    return _min_fun_over(g, (1 << g.n) - 1, k, {}) is None
 
 
 def verify_oracle_equivalence(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
@@ -158,6 +158,9 @@ def verify_cwd_bound(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool,
 
 
 def verify_sd_construction(t: int = 3, **_ignored) -> tuple[bool, dict]:
+    if t < 1:
+        # no t would be checked, so the target would pass vacuously
+        raise ValueError(f"t must be >= 1, got {t}")
     results = []
     passed = True
     for tt in range(1, t + 1):

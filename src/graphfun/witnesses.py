@@ -39,10 +39,11 @@ class DnfWitness:
     def verify(self, g: Graph) -> bool:
         """Replay every vertex outside {target} | support at once: a term
         holds at exactly the vertices adjacent to all its support vertices,
-        so the DNF's true set is the OR over terms of the AND of their rows."""
-        trow = g.rows[self.target]
+        so the DNF's true set is the OR over terms of the AND of their rows.
+        A target or support vertex outside g raises ValueError."""
+        trow = g.rows[g._vertex(self.target)]
         domain = ((1 << g.n) - 1) & ~(mask_of(self.support) | (1 << self.target))
-        literals = [g.rows[x] for x in self.support]
+        literals = [g.rows[g._vertex(x)] for x in self.support]
         true_set = 0
         for term in self.terms:
             holds = domain

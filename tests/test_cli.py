@@ -202,6 +202,13 @@ def test_verify_rejects_nonpositive_cases(capsys):
         assert captured.out == "" and "cases must be >= 1" in captured.err
 
 
+def test_verify_rejects_nonpositive_t(capsys):
+    for t in ("0", "-3"):
+        assert main(["verify", "sd-construction", "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "t must be >= 1" in captured.err
+
+
 def test_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")

@@ -198,6 +198,23 @@ def test_fun_rule_peels_to_the_core(n, p, seed, inc, dropped):
     assert dead(inc, (1 << n) - 1, 0) == dropped
 
 
+def test_peel_rechecks_kept_supports():
+    """On C6 at floor 1 the core peel drops nothing (every degree is 2 and
+    every co-degree 3), so only the kept supports act.  {3} is a support
+    for 0; {1} is not, and {2, 4} is one larger than the floor.  A kept
+    support is re-checked, so a dict shared by unrelated subsets is sound."""
+    c6 = Graph.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    rows, full, peel = c6.rows, (1 << 6) - 1, functionality._peel
+    assert peel(rows, {}, 0b1, full, 1) == full
+    for s in (0b10, 0b10100):
+        for inc in (0b1 | s, 0b1):
+            assert peel(rows, {0: [s]}, inc, full, 1) == full
+    assert peel(rows, {0: [0b1000]}, 0b1001, full, 1) is None
+    assert peel(rows, {0: [0b1000]}, 0b1, full, 1) == full ^ 0b1000
+    assert peel(rows, {0: [0b1000]}, 0b1000, full, 1) == full ^ 0b1
+    assert peel(rows, {0: [0b1000]}, 0b10, full, 1) == full
+
+
 def _plain_sweep(n, min_size, score):
     """Every subset by decreasing size, then in itertools.combinations
     order, keeping strict improvements only."""

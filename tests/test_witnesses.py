@@ -68,6 +68,12 @@ def test_dnf_verify_matches_per_vertex_evaluate(case):
     assert w.verify(g) == expected
 
 
+@pytest.mark.parametrize("target, support", [(5, (0, 1)), (0, (1, 3)), (-1, (0, 1))])
+def test_dnf_verify_rejects_vertices_outside_the_graph(target, support):
+    with pytest.raises(ValueError, match="out of range for n=3"):
+        DnfWitness(target, support, ((0, 1),)).verify(random_graph(3, 0.5, 1))
+
+
 def test_unit_interval_pair_small():
     iv = IntervalSet((Fraction(0), Fraction(1, 3)))
     assert unit_interval_pair(iv) == (1, 0)
