@@ -22,7 +22,7 @@ import time
 
 from . import __version__, families, hyper3, kexpr, verify, witnesses
 from .functionality import FUN_EXACT_LIMIT, fun_graph, fun_vertex, is_function_of, min_fun
-from .graph import GraphFormatError, format_graph, mask_of, parse_graph
+from .graph import format_graph, mask_of, parse_graph
 from .params import degeneracy, vc_dimension
 from .symdiff import SD_EXACT_LIMIT, min_sd, sd_graph, sd_pair
 
@@ -219,7 +219,6 @@ def _cmd_witness(args) -> tuple[dict, tuple[str, ...]]:
 def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
     h, text = _load(args.hypergraphfile, families.parse_hypergraph)
     if args.mode == "bound":
-        ig, _ = hyper3.intersection_graph(h)
         report = hyper3.hyper3_fun_bound(h)
         payload = {
             "s_index": report.s_index,
@@ -230,7 +229,7 @@ def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
         }
         if args.recheck:
             payload["recheck"] = (
-                is_function_of(ig, report.s_index, report.f_indices) is not None
+                is_function_of(h.graph, report.s_index, report.f_indices) is not None
             )
         return payload, (text,)
     # without a thick pair this raises ValueError, a usage error
@@ -352,9 +351,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (GraphFormatError,) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

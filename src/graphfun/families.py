@@ -3,8 +3,12 @@ seeded random instance generators used by the verification harness.
 
 File formats:
   permutation  - one line of space-separated values of pi(1..n)
-  intervals    - one rational left endpoint per line, as ``p/q`` or an integer
+  intervals    - one rational left endpoint per line: an integer, ``p/q``
+                 or a decimal, with no exponent
   hypergraph   - header ``n m`` followed by m lines ``a b c``
+
+All three read through ``graph.data_lines``: blank lines and ``#``
+comment lines are ignored.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph, check_vertex_count
+from .graph import Graph, data_lines, read_header
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,9 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class Hypergraph3:
-    """3-uniform hypergraph on ground set 0..n-1; hyperedge order matters
-    (it fixes the vertex order of the intersection graph)."""
+    """3-uniform hypergraph on ground set 0..n-1.  Each hyperedge lists its
+    vertices in increasing order (``from_edges`` sorts them); hyperedge
+    order matters (it fixes the vertex order of the intersection graph)."""
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
@@ -94,10 +99,12 @@ class Hypergraph3:
                 raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
             if any(v < 0 or v >= self.n for v in e):
                 raise ValueError(f"hyperedge {e} out of range")
-            key = tuple(sorted(e))
-            if key in seen:
-                raise ValueError(f"duplicate hyperedge {key}")
-            seen.add(key)
+            if not e[0] < e[1] < e[2]:
+                raise ValueError(f"hyperedge {e} is not in increasing order; "
+                                 "Hypergraph3.from_edges sorts each hyperedge")
+            if e in seen:
+                raise ValueError(f"duplicate hyperedge {e}")
+            seen.add(e)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph3":
@@ -317,7 +324,7 @@ def random_3_hypergraph(n: int, m: int, seed: int) -> Hypergraph3:
 
 
 def parse_permutation(text: str) -> Permutation:
-    values = tuple(int(tok) for tok in text.split())
+    values = tuple(int(tok) for ln in data_lines(text) for tok in ln.split())
     return Permutation(values)
 
 
@@ -327,10 +334,11 @@ def format_permutation(p: Permutation) -> str:
 
 def parse_intervals(text: str) -> IntervalSet:
     lefts = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in data_lines(text):
+        # Fraction builds the full power of ten of an exponent, so a few
+        # bytes such as 1e10000000 would cost seconds or minutes.
+        if "e" in ln or "E" in ln:
+            raise ValueError(f"endpoint {ln!r} has an exponent; write an integer, p/q or a decimal")
         try:
             lefts.append(Fraction(ln))
         except ZeroDivisionError as exc:
@@ -343,18 +351,8 @@ def format_intervals(iv: IntervalSet) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph3:
-    data = [ln.strip() for ln in text.splitlines()]
-    data = [ln for ln in data if ln and not ln.startswith("#")]
-    if not data:
-        raise ValueError("missing header line 'n m'")
-    try:
-        n, m = map(int, data[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line: {data[0]!r}") from exc
-    check_vertex_count(n)
-    if len(data) - 1 != m:
-        raise ValueError(f"expected {m} hyperedge lines, got {len(data) - 1}")
-    edges = [tuple(int(tok) for tok in ln.split()) for ln in data[1:]]
+    n, records = read_header(text, "hyperedge")
+    edges = [tuple(int(tok) for tok in ln.split()) for ln in records]
     if any(len(e) != 3 for e in edges):
         raise ValueError("each hyperedge line needs exactly 3 vertices")
     return Hypergraph3.from_edges(n, edges)

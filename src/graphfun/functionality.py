@@ -63,9 +63,7 @@ def _domain(g: Graph, among: Optional[int], vertices: Iterable[int]) -> int:
     elif among & ~full:
         raise ValueError(f"vertex mask {among:#x} has bits outside 0..{g.n - 1}")
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        if not among >> v & 1:
+        if not among >> g._vertex(v) & 1:
             raise ValueError(f"vertex {v} lies outside the vertex mask")
     return among
 

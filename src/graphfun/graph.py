@@ -31,9 +31,9 @@ class Graph:
         graph on many vertices, the packing would be too large, and
         ``_walk_asymmetry`` checks symmetry in O(n + m) bigint operations
         and O(n + m) memory.  The second bound sends a hypercube, whose
-        rows span almost W bits but set only log₂W, to the walk.  Either
-        path names the pair a pairwise scan of the lower triangle would
-        find first.
+        rows span almost W bits but set only log₂W, to the walk.  The
+        transpose only decides; on asymmetric rows the walk alone names
+        the pair a pairwise scan of the lower triangle would find first.
         """
         n, rows = self.n, self.rows
         if n < 0 or len(rows) != n:
@@ -167,20 +167,13 @@ def _transpose(x: int, w: int) -> int:
 
 
 def _transpose_asymmetry(rows: tuple[int, ...], w: int) -> Optional[tuple[int, int]]:
-    """``_walk_asymmetry``'s answer from one packed transpose.  The rows
-    are non-negative and below bit len(rows), and len(rows) <= w."""
+    """``_walk_asymmetry``'s answer: one packed transpose decides, and only
+    asymmetric rows are walked.  The rows are non-negative and below bit
+    len(rows), and len(rows) <= w."""
     packed = _pack(rows, w)
-    diff = packed ^ _transpose(packed, w)
-    if not diff:
+    if packed == _transpose(packed, w):
         return None
-    # diff is symmetric with an empty diagonal, so some row v holds a pair
-    # (u, v) below the diagonal; the first such row is the scan's.
-    data = diff.to_bytes(w * w // 8, "little")
-    step = w // 8
-    for v in range(len(rows)):
-        low = int.from_bytes(data[v * step:(v + 1) * step], "little") & ((1 << v) - 1)
-        if low:
-            return (low & -low).bit_length() - 1, v
+    return _walk_asymmetry(rows)
 
 
 def _bits(mask: int):
@@ -207,8 +200,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     order = sorted(set(vertices))
     if not order:
         raise ValueError("induced subgraph of the empty vertex set is undefined")
-    if order[0] < 0 or order[-1] >= g.n:
-        raise ValueError("vertex out of range")
+    g._vertex(order[0])
+    g._vertex(order[-1])
     index = {v: i for i, v in enumerate(order)}
     rows = []
     for v in order:
@@ -337,8 +330,9 @@ def is_twin_pair(g: Graph, u: int, v: int) -> bool:
 
 # --- text format ------------------------------------------------------------
 #
-# '#'-prefixed comment lines are ignored.  First data line is "n m", followed
-# by exactly m lines "u v" with 0 <= u < v < n and no duplicates.
+# Every line-based format reads through ``data_lines``, which drops blank
+# and '#' comment lines.  A graph is "n m", then exactly m lines "u v" with
+# 0 <= u < v < n and no duplicates.
 
 
 class GraphFormatError(ValueError):
@@ -353,29 +347,32 @@ class GraphFormatError(ValueError):
 MAX_VERTICES = 1 << 22
 
 
-def check_vertex_count(n: int) -> None:
-    """A GraphFormatError when a header's ``n`` is above ``MAX_VERTICES``."""
+def data_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor ``#`` comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
+def read_header(text: str, what: str) -> tuple[int, list[str]]:
+    """(n, record lines) of a text whose data lines are a header ``n m``,
+    with n at most ``MAX_VERTICES``, and then exactly m ``what`` lines."""
+    data = data_lines(text)
+    if not data:
+        raise GraphFormatError("missing header line 'n m'")
+    try:
+        n, m = map(int, data[0].split())
+    except ValueError as exc:
+        raise GraphFormatError(f"bad header line: {data[0]!r}") from exc
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+    if len(data) - 1 != m:
+        raise GraphFormatError(f"expected {m} {what} lines, got {len(data) - 1}")
+    return n, data[1:]
 
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not data:
-        raise GraphFormatError("missing header line 'n m'")
-    head = data[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"bad header line: {data[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header line: {data[0]!r}") from exc
-    check_vertex_count(n)
-    if len(data) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, got {len(data) - 1}")
+    n, records = read_header(text, "edge")
     edges = []
-    for ln in data[1:]:
+    for ln in records:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line: {ln!r}")

@@ -232,6 +232,13 @@ def test_non_ascii_digit_labels_are_parse_errors(tmp_path, capsys):
         assert "expected positive label" in err and "at line 1, column" in err
 
 
+def test_hyper3_bound_on_an_empty_hypergraph_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("0 0\n")
+    assert main(["hyper3", "bound", str(path)]) == 2
+    assert "need at least one hyperedge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,message", [("3 0 5\n", "bad header line"),
                                           ("-1 0\n", "vertex count")])
 def test_bad_hypergraph_headers_are_parse_errors(tmp_path, capsys, text, message):

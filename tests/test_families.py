@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,23 @@ def test_hypergraph_validation():
         Hypergraph3.from_edges(4, [(0, 1, 2), (2, 1, 0)])
     with pytest.raises(ValueError, match="vertex count"):
         Hypergraph3(-1, ())
+    # hyper3 looks hyperedges up as sorted triples
+    with pytest.raises(ValueError, match="increasing order.*from_edges"):
+        Hypergraph3(6, ((2, 1, 0),))
+    with pytest.raises(ValueError, match="increasing order"):
+        Hypergraph3(6, ((0, 3, 4), (1, 5, 4)))
+    assert Hypergraph3.from_edges(6, [(2, 1, 0)]).edges == ((0, 1, 2),)
+
+
+def test_interval_endpoints_with_an_exponent_are_rejected():
+    for text in ("0\n1e10000000\n", "0\n1E3\n", "2.5e-1\n"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_intervals(text)
+        assert time.perf_counter() - start < 0.5
+    # integers, p/q and decimals still parse
+    assert parse_intervals("-3\n7/2\n0.25\n").lefts == (
+        Fraction(-3), Fraction(7, 2), Fraction(1, 4))
 
 
 def test_file_formats_round_trip():

@@ -72,6 +72,9 @@ def test_induced_subgraph_reindexes_ascending():
         induced_subgraph(g, [])
     with pytest.raises(ValueError):
         induced_subgraph(g, [0, 5])
+    for vertices, bad in (([0, 5], 5), ([-1, 2], -1)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
+            induced_subgraph(g, vertices)
     # duplicates collapse
     sub2, mapping2 = induced_subgraph(g, [0, 0, 1])
     assert mapping2 == (0, 1) and sub2.n == 2

@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from graphfun.families import (
     parse_permutation,
     random_3_hypergraph,
     random_graph,
+    random_permutation,
     random_unit_intervals,
 )
 from graphfun.graph import format_graph, parse_graph
@@ -71,13 +73,30 @@ def test_kexpression_round_trip(k, ops, seed):
     assert again == e and hash(again) == hash(e)
 
 
+LINE_FORMATS = {
+    "graph": (parse_graph, format_graph(random_graph(7, 0.5, 1))),
+    "permutation": (parse_permutation, format_permutation(random_permutation(9, 2))),
+    "intervals": (parse_intervals, format_intervals(random_unit_intervals(5, 3))),
+    "hypergraph": (parse_hypergraph, format_hypergraph(random_3_hypergraph(8, 6, 4))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LINE_FORMATS))
+def test_line_formats_skip_comments_and_blank_lines(fmt):
+    """A leading comment, and a blank line and a comment after every line,
+    leave the instance unchanged."""
+    parse, text = LINE_FORMATS[fmt]
+    padded = "# a comment\n\n" + "".join(ln + "\n\n  # another\n" for ln in text.splitlines())
+    assert parse(padded) == parse(text)
+
+
 # Text built from tokens of every format, always separated, so that no two
 # numbers run together into an instance too large to build.
 TOKENS = st.one_of(
     st.integers(min_value=-2, max_value=20).map(str),
     st.builds("{}/{}".format, st.integers(min_value=-2, max_value=20),
               st.integers(min_value=0, max_value=3)),
-    st.sampled_from(["x", "#", "-", "1.5", "node", "u",
+    st.sampled_from(["x", "#", "-", "1.5", "1e9", "node", "u",
                      "eta", "rho", "(", ")", ",", "a", "b", "node(1,a)"]),
 )
 SEPARATORS = st.sampled_from([" ", "  ", "\n", " \n", "\t", ", "])
