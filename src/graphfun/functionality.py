@@ -238,31 +238,28 @@ def _finish(unresolved: list[int], bit: int, allowed: int) -> int:
     return bit if common < 0 else bit | (common & -common)
 
 
-def _fun_search(g: Graph, y: int, cap: int, among: int) -> Optional[frozenset[int]]:
-    """Minimum support for y in G[among] of size < cap, or None.  N(y) and
-    its complement in G[among] are always supports (constant function
-    outside); the smaller seeds the bound."""
+def _fun_search(g: Graph, y: int, cap: int, among: int) -> Optional[int]:
+    """Mask of a minimum support for y in G[among] of size < cap, or None.
+    N(y) and its complement in G[among] are always supports (constant
+    function outside); the smaller seeds the bound."""
     masks = _resolver_masks(g, y, among)
     if not masks:
-        return frozenset() if cap > 0 else None
+        return 0 if cap > 0 else None
     others = among & ~(1 << y)
     neigh = g.rows[y] & others
     non = others ^ neigh
-    best = _min_hitting_set(masks, cap, neigh if neigh.bit_count() <= non.bit_count() else non)
-    return None if best is None else frozenset(_bits(best))
+    return _min_hitting_set(masks, cap, neigh if neigh.bit_count() <= non.bit_count() else non)
 
 
-def _certified(
-    g: Graph, y: int, support: Optional[frozenset[int]], among: Optional[int] = None
-) -> FunResult:
-    """FunResult for a support a search returned in G[among], with its
+def _certified(g: Graph, y: int, support: Optional[int], among: Optional[int] = None) -> FunResult:
+    """FunResult for a support mask a search returned in G[among], with its
     replayed witness function and, when ``among`` is given, that subgraph;
     a missing or failing support is an internal error."""
-    fn = None if support is None else is_function_of(g, y, support, among)
+    fn = None if support is None else is_function_of(g, y, _bits(support), among)
     if fn is None:
         raise RuntimeError(f"search returned no valid support for vertex {y}")
     subgraph = None if among is None else frozenset(_bits(among))
-    return FunResult(len(support), y, support, fn, subgraph)
+    return FunResult(len(fn.support), y, frozenset(fn.support), fn, subgraph)
 
 
 def fun_vertex(g: Graph, y: int) -> FunResult:
@@ -288,7 +285,7 @@ def fun_vertex_upper(g: Graph, y: int) -> FunResult:
         # max() keeps the first maximum, so sorting the keys makes the
         # tie-break "lowest index"
         chosen |= 1 << pick
-    return _certified(g, y, frozenset(_bits(chosen)))
+    return _certified(g, y, chosen)
 
 
 # fun_graph's default exact_limit.  At n = 20, G(n, 1/2) takes at most
@@ -353,8 +350,8 @@ def _peel(
 
 def _min_fun_over(
     g: Graph, among: int, floor: int, kept: dict[int, list[int]]
-) -> Optional[tuple[int, frozenset[int]]]:
-    """(y, support) minimising fun over the vertices of G[among], lowest y
+) -> Optional[tuple[int, int]]:
+    """(y, support mask) minimising fun over the vertices of G[among], lowest y
     on ties, or None as soon as some vertex has fun <= ``floor``.
 
     ``_peel`` rejects G[among] before any search; a search that rejects it
@@ -371,15 +368,15 @@ def _min_fun_over(
         for y in _bits(among):
             d = (rows[y] & among).bit_count()
             if not d or d == last:
-                return y, frozenset()
+                return y, 0
     best = None
     cap = g.n
     for y in _bits(among):
         found = _fun_search(g, y, cap, among)
         if found is not None:
-            best, cap = (y, found), len(found)
+            best, cap = (y, found), found.bit_count()
             if cap <= floor:
-                kept.setdefault(y, []).append(mask_of(found))
+                kept.setdefault(y, []).append(found)
                 return None
             if cap == 0:
                 break
@@ -422,7 +419,7 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
             "gives a lower bound, with no certificate"
         )
 
-    winner: Optional[tuple[int, frozenset[int]]] = None
+    winner: Optional[tuple[int, int]] = None
     kept: dict[int, list[int]] = {}
 
     def score(among: int, floor: int) -> Optional[int]:
@@ -431,14 +428,14 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
         if found is None:
             return None
         winner = found
-        return len(found[1])
+        return found[1].bit_count()
 
     def dead(inc: int, cand: int, floor: int) -> int:
         alive = _peel(g.rows, kept, inc, cand, floor)
         return cand if alive is None else cand ^ alive
 
-    _, best_subset = hereditary_max_min(g, 1, lambda size: (size - 1) // 2, score, dead)
-    return _certified(g, *winner, mask_of(best_subset))
+    _, best_mask = hereditary_max_min(g, lambda size: (size - 1) // 2, score, dead)
+    return _certified(g, *winner, best_mask)
 
 
 def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
@@ -455,5 +452,5 @@ def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
             continue
         found = _min_fun_over(g, subset, best, kept)
         if found is not None:
-            best = len(found[1])
+            best = found[1].bit_count()
     return best

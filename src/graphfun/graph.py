@@ -215,20 +215,21 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 def hereditary_max_min(
     g: Graph,
-    min_size: int,
     bound: Callable[[int], int],
     score: Callable[[int, int], Optional[int]],
     dead: Callable[[int, int, int], int],
-) -> tuple[int, tuple[int, ...]]:
-    """Maximum of a min-type parameter over the induced subgraphs of ``g``
-    with at least ``min_size`` vertices, and the first subset attaining it.
+) -> tuple[int, int]:
+    """Maximum of a min-type parameter over the nonempty induced subgraphs
+    of ``g``, and the vertex mask of the first subset attaining it.
 
     ``score(mask, floor)`` gets each subset H as a vertex mask of ``g``, so
     no subgraph is built, and returns the parameter of G[H], or None when it
     is at most ``floor``.  Subsets go by decreasing size, then in
     ``itertools.combinations`` order; only a strict improvement replaces the
     best.  The sweep stops at the first size whose ``bound(size)``, a cap on
-    the parameter that never grows as size falls, cannot beat the best.
+    the parameter that never grows as size falls, cannot beat the best.  G
+    is scored first, at floor -1, so a bound that is 0 at size 2 (fun's and
+    sd's are) stops the sweep there at the latest: no smallest size is given.
 
     Within one size, an include-first depth-first search over vertices
     0..n-1 reaches the subsets in that same order.  A node is an included
@@ -238,8 +239,9 @@ def hereditary_max_min(
     ``dead(inc, cand, floor)`` names vertices of its ``cand`` that no such H
     whose parameter beats ``floor`` can contain.  The answer may be
     incomplete but must be sound.  When it meets ``inc`` the child is cut;
-    otherwise its ``cand`` loses those vertices.  Leaves go to ``score``
-    unasked, since its answer is exact.  The best value only grows, so a
+    otherwise its ``cand`` loses those vertices.  A leaf (``size`` members)
+    is pushed unasked with ``cand`` = ``inc``, since ``score`` is exact, so
+    subsets are scored in one place.  The best value only grows, so a
     subset cut at floor f would have been rejected at its own turn: the
     surviving subsets are scored in the old order, with the same floors,
     and the first attaining subset is unchanged.
@@ -250,17 +252,16 @@ def hereditary_max_min(
     each triple is asked once.  ``dead`` need only be sound: it may read
     state that grows during the call, such as supports its solver's
     ``score`` has found, so a kept answer can be weaker than a fresh one
-    but never wrong.  A child with size - 1 members is a leaf one size
-    down, so its answer is not kept.  As long as ``dead`` is sound, the
-    same subsets improve the best, with the same floors.  The search keeps an
-    explicit stack, so its depth is not bound by the interpreter's
-    recursion limit, and the dict lives for one call only.
+    but never wrong.  As long as ``dead`` is sound, the same subsets
+    improve the best, with the same floors.  The search keeps an explicit
+    stack, so its depth is not bound by the interpreter's recursion limit,
+    and the dict lives for one call only.
     """
     best_value = -1
     best_mask = None
     # dead's answer per (child, child's cand), for the current best value.
     asked: dict[tuple[int, int], int] = {}
-    for size in range(g.n, min_size - 1, -1):
+    for size in range(g.n, 0, -1):
         if bound(size) <= best_value:
             break
         # (inc, |inc|, cand); the vertices of cand - inc all lie above inc.
@@ -278,16 +279,7 @@ def hereditary_max_min(
                 continue
             # Past child j = room too few candidates would be left.
             free = cand ^ inc
-            if count + 1 == size:
-                # The children are leaves, scored in order.
-                for _ in range(room + 1):
-                    low = free & -free
-                    free ^= low
-                    value = score(inc | low, best_value)
-                    if value is not None:
-                        best_value, best_mask = value, inc | low
-                        asked.clear()
-                continue
+            leaf = count + 1 == size
             # One size down these children are leaves, which score takes
             # unasked, so an answer about them would never be read again.
             keep = count + 2 < size
@@ -296,6 +288,9 @@ def hereditary_max_min(
                 low = free & -free
                 child, child_cand = inc | low, inc | free
                 free ^= low
+                if leaf:
+                    children.append((child, size, child))
+                    continue
                 key = (child, child_cand)
                 cut = asked.get(key)
                 if cut is None:
@@ -309,7 +304,7 @@ def hereditary_max_min(
             stack += children
     if best_mask is None:
         raise RuntimeError("subset sweep found no subgraph")
-    return best_value, tuple(_bits(best_mask))
+    return best_value, best_mask
 
 
 def sym_diff_mask(g: Graph, u: int, v: int) -> int:

@@ -10,8 +10,10 @@ most 128 around a particular hyperedge.
 
 Every query for the hyperedges that contain or meet given vertices is a
 few AND / XOR / popcount operations on ``Hypergraph3.incidence``, the
-mask of hyperedge indices at each vertex.  Only ``_verify_structure``, the
-independent check of a found structure, works on vertex sets.
+mask of hyperedge indices at each vertex.  ``_verify_structure``, the
+independent check of a found structure, works on vertex sets, and so do
+``witness_thick`` (a hyperedge index dict and vertex-set unions) and
+``find_thick_structure`` (a set of thick pairs).
 """
 from __future__ import annotations
 
@@ -136,6 +138,8 @@ def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     # F is a mask of hyperedge indices throughout
     edges, inc = h.edges, h.incidence
     s_key = tuple(sorted(s))
+    if s_key not in edges:
+        raise ValueError(f"{tuple(s)} is not a hyperedge")
     s_idx = edges.index(s_key)
     not_s = ~(1 << s_idx)
     a, b, c = (inc[v] for v in s_key)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, hereditary_max_min, induced_subgraph, sym_diff_mask
+from .graph import Graph, _bits, hereditary_max_min, induced_subgraph, sym_diff_mask
 
 
 # sd_graph's default exact_limit.  At n = 24, G(n, 1/2), permutation
@@ -97,8 +97,8 @@ def sd_graph(g: Graph, exact_limit: int = SD_EXACT_LIMIT) -> SdResult:
                 out |= bw
         return out
 
-    best_value, best_subset = hereditary_max_min(g, 2, lambda size: size - 2, score, dead)
-    sub, mapping = induced_subgraph(g, best_subset)
+    best_value, best_mask = hereditary_max_min(g, lambda size: size - 2, score, dead)
+    sub, mapping = induced_subgraph(g, _bits(best_mask))
     inner = min_sd(sub)
     pair = (mapping[inner.pair[0]], mapping[inner.pair[1]])
-    return SdResult(best_value, pair, subgraph=frozenset(best_subset))
+    return SdResult(best_value, pair, subgraph=frozenset(mapping))

@@ -27,12 +27,12 @@ from .params import degeneracy, vc_dimension
 from .symdiff import min_sd, sd_graph, sd_pair
 
 
-def _cycle_graphs(seed: int, cases: int, n_max: int = 9):
-    """The shared seeded stream of small random graphs: sizes 4..n_max,
+def _cycle_graphs(seed: int, cases: int):
+    """The shared seeded stream of small random graphs: sizes 4..9,
     densities cycling through 0.2 / 0.5 / 0.8."""
     rng = random.Random(seed)
     for i in range(cases):
-        n = rng.randint(4, n_max)
+        n = rng.randint(4, 9)
         p = (0.2, 0.5, 0.8)[i % 3]
         yield i, random_graph(n, p, rng.randrange(2**32))
 
@@ -144,9 +144,9 @@ def verify_cwd_bound(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool,
     rng = random.Random(seed)
     for i in range(cases):
         e = kexpr.random_kexpression(3, 1 + rng.randint(1, 39), rng.randrange(2**32))
-        value = min_fun(kexpr.evaluate(e).graph).value
-        if value > 5:
-            failures.append({"case": f"expr-{i}", "min_fun": value})
+        report = kexpr.check_fun_cwd_bound(e)
+        if not report.passed:
+            failures.append({"case": f"expr-{i}", "min_fun": report.min_fun_value})
     for i in range(cases):
         script = families.random_distance_hereditary_script(
             1 + rng.randint(1, 49), rng.randrange(2**32)

@@ -212,6 +212,8 @@ def test_fun_graph_monotone_under_induced_subgraphs(g, seed):
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
 )
+# One vertex: the sweep's only size is 1.
+@example(Graph(1, (0,)))
 def test_fun_graph_matches_naive(g):
     assert fun_graph(g).value == naive_fun_graph(g)
     assert min_fun(g).value == naive_min_fun(g)

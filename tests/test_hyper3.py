@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -119,6 +120,14 @@ def test_witness_no_thick_random_sweep():
             f = witness_no_thick(h, s)
             assert len(f) <= NO_THICK_WITNESS_BOUND
             assert is_function_of(ig, i, f) is not None
+
+
+@pytest.mark.parametrize("s", [(0, 1, 99), (0, 1, 2)])
+def test_witness_no_thick_names_a_missing_hyperedge(s):
+    h = random_3_hypergraph(10, 5, 1)
+    assert tuple(sorted(s)) not in h.edges and not thick_pairs(h)
+    with pytest.raises(ValueError, match=re.escape(f"{s} is not a hyperedge")):
+        witness_no_thick(h, s)
 
 
 def test_witness_no_thick_rejects_thick():
