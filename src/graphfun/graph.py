@@ -7,6 +7,8 @@ intersection) is row-XOR/AND on ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lt
 from typing import Callable, Iterable, Optional
 
 
@@ -18,7 +20,17 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Validation: loops and bits at or above ``n``, then symmetry.
+        """Validation: the rows' count and type, loops and bits at or above
+        ``n``, then symmetry.
+
+        Rows other than a tuple of ints raise a ValueError; the one type
+        test is the tuple's, and a row that is not an int makes the checks
+        below raise a TypeError, which becomes that ValueError.  Bits at or
+        above ``n`` are checked on whole rows, with the least and the
+        greatest row (a negative row has such bits), and loops with the
+        diagonal of the packed matrix on the transpose path.  When a
+        whole-row check fails, and on the walk path, a loop over the rows in
+        order names the first faulty row, a loop before an out-of-range bit.
 
         Symmetry takes one of two paths.  Let W be the power of two at
         least max(n, 8).  When W² ≤ 16·(n + Σ row.bit_length()) and
@@ -38,33 +50,29 @@ class Graph:
         n, rows = self.n, self.rows
         if n < 0 or len(rows) != n:
             raise ValueError("row count must equal vertex count")
-        for v, row in enumerate(rows):
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            if row >> n:
-                raise ValueError(f"row {v} references vertices >= n")
-        w = max(8, 1 << (n - 1).bit_length())
-        if (w * w <= 16 * (n + sum(map(int.bit_length, rows)))
-                and w * w <= 32 * (n + sum(map(int.bit_count, rows)))):
-            pair = _transpose_asymmetry(rows, w)
-        else:
-            pair = _walk_asymmetry(rows)
+        try:
+            if type(rows) is not tuple:
+                raise TypeError
+            if rows and (min(rows) < 0 or max(rows) >> n):
+                _check_rows(rows, n)
+            w = max(8, 1 << (n - 1).bit_length())
+            if (w * w <= 16 * (n + sum(map(int.bit_length, rows)))
+                    and w * w <= 32 * (n + sum(map(int.bit_count, rows)))):
+                pair = _transpose_asymmetry(rows, w)
+            else:
+                _check_rows(rows, n)
+                pair = _walk_asymmetry(rows)
+        except TypeError:
+            raise ValueError("rows must be a tuple of ints") from None
         if pair is not None:
             raise ValueError(f"adjacency not symmetric at ({pair[0]},{pair[1]})")
 
     @staticmethod
     def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop edge ({u},{v})")
-            if rows[u] >> v & 1:
-                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        """The graph on 0..n-1 with ``edges``.  Edges are checked in order,
+        and the first edge out of range, a loop or a repeat (in either
+        order) raises a ValueError that names it."""
+        return Graph(n, tuple(_edge_rows(n, list(edges))))
 
     def _vertex(self, v: int) -> int:
         """v itself; a ValueError names a v outside 0..n-1."""
@@ -97,6 +105,46 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
+
+
+def _check_rows(rows: tuple[int, ...], n: int) -> None:
+    """Raise for the first row, in order, with a loop or a bit at or above n."""
+    for v, row in enumerate(rows):
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        if row >> n:
+            raise ValueError(f"row {v} references vertices >= n")
+
+
+def _edge_rows(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The rows of the graph on 0..n-1 with ``edges``, from one unchecked
+    pass.  An endpoint out of range fails the pass: as an index at or above
+    n, or as a negative shift.  A loop or a repeated edge adds fewer than
+    two bits, so the rows' total popcount falls short of 2·len(edges).  In
+    either case the per-edge loop runs and names the first faulty edge."""
+    rows = [0] * n
+    try:
+        for u, v in edges:
+            # Both endpoints index a row before either is a shift count, so
+            # no shift exceeds n.
+            row = rows[u]
+            rows[v] |= 1 << u
+            rows[u] = row | 1 << v
+        if sum(map(int.bit_count, rows)) == 2 * len(edges):
+            return rows
+    except (IndexError, TypeError, ValueError):
+        pass
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop edge ({u},{v})")
+        if rows[u] >> v & 1:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 def _walk_asymmetry(rows: tuple[int, ...]) -> Optional[tuple[int, int]]:
@@ -142,7 +190,21 @@ _CACHED_WIDTH = 1 << 11
 
 def _pack(rows: Iterable[int], w: int) -> int:
     """Row v at bit v·w; each row must lie below bit w."""
-    return int.from_bytes(b"".join(row.to_bytes(w // 8, "little") for row in rows), "little")
+    return int.from_bytes(
+        b"".join(map(int.to_bytes, rows, repeat(w // 8), repeat("little"))), "little")
+
+
+# w -> the diagonal of a w×w matrix, bits v·w + v, cached as the swap masks are.
+_DIAGONALS: dict[int, int] = {}
+
+
+def _diagonal(w: int) -> int:
+    diagonal = _DIAGONALS.get(w)
+    if diagonal is None:
+        diagonal = _pack(map(int.__lshift__, repeat(1), range(w)), w)
+        if w <= _CACHED_WIDTH:
+            _DIAGONALS[w] = diagonal
+    return diagonal
 
 
 def _transpose(x: int, w: int) -> int:
@@ -169,8 +231,12 @@ def _transpose(x: int, w: int) -> int:
 def _transpose_asymmetry(rows: tuple[int, ...], w: int) -> Optional[tuple[int, int]]:
     """``_walk_asymmetry``'s answer: one packed transpose decides, and only
     asymmetric rows are walked.  The rows are non-negative and below bit
-    len(rows), and len(rows) <= w."""
+    len(rows), and len(rows) <= w.  A set bit on the packing's diagonal
+    first raises for the lowest loop."""
     packed = _pack(rows, w)
+    loops = packed & _diagonal(w)
+    if loops:
+        raise ValueError(f"loop at vertex {((loops & -loops).bit_length() - 1) // (w + 1)}")
     if packed == _transpose(packed, w):
         return None
     return _walk_asymmetry(rows)
@@ -344,7 +410,10 @@ MAX_VERTICES = 1 << 22
 
 def data_lines(text: str) -> list[str]:
     """The stripped lines of ``text`` that are neither blank nor ``#`` comments."""
-    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [ln for ln in lines if ln[0] != "#"]
+    return lines
 
 
 def read_header(text: str, what: str) -> tuple[int, list[str]]:
@@ -365,8 +434,37 @@ def read_header(text: str, what: str) -> tuple[int, list[str]]:
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of a text ``n m`` followed by m edge lines ``u v``.
+
+    The first line that is not two integers 0 <= u < v < n raises; a
+    repeated edge raises only when every line is well formed.  All lines
+    are read at once: joined with a ``;`` between lines, there are 3m - 1
+    tokens and all but every third one are integers iff every line is two
+    integers, since each ``;`` must then sit in a third place.  Only when
+    a whole-file check fails does the line loop run, to name the first
+    faulty line.
+    """
     n, records = read_header(text, "edge")
-    edges = []
+    tokens = " ; ".join(records).split()
+    try:
+        if len(tokens) != 3 * len(records) - 1:
+            raise ValueError
+        us = list(map(int, tokens[0::3]))
+        vs = list(map(int, tokens[1::3]))
+        if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
+            raise ValueError
+    except ValueError:
+        us, vs = _edge_lines(n, records)
+    try:
+        return Graph.from_edge_list(n, zip(us, vs))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _edge_lines(n: int, records: list[str]) -> tuple[list[int], list[int]]:
+    """The endpoints of ``records`` read line by line; the first line that
+    is not two integers 0 <= u < v < n raises."""
+    us, vs = [], []
     for ln in records:
         parts = ln.split()
         if len(parts) != 2:
@@ -377,11 +475,9 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"bad edge line: {ln!r}") from exc
         if not (0 <= u < v < n):
             raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        edges.append((u, v))
-    try:
-        return Graph.from_edge_list(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        us.append(u)
+        vs.append(v)
+    return us, vs
 
 
 def format_graph(g: Graph) -> str:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import resource
@@ -336,3 +337,187 @@ def test_vertex_taking_functions_reject_out_of_range(case):
     g = random_graph(5, 0.5, 1)
     with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
         call(g)
+
+
+# --- edge files read at once against a per-line reader ----------------------
+
+
+def _line_by_line(text):
+    """parse_graph as it was when it read one line at a time, for files
+    whose header is well formed: (n, rows), or the GraphFormatError message.
+    The first line that is not two integers 0 <= u < v < n is reported; a
+    repeated edge only when every line is well formed."""
+    data = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    n, m = map(int, data[0].split())
+    if len(data) - 1 != m:
+        return f"expected {m} edge lines, got {len(data) - 1}"
+    edges = []
+    for ln in data[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            return f"bad edge line: {ln!r}"
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return f"bad edge line: {ln!r}"
+        if not 0 <= u < v < n:
+            return f"edge ({u},{v}) violates 0 <= u < v < n"
+        edges.append((u, v))
+    rows = [0] * n
+    for u, v in edges:
+        if rows[u] >> v & 1:
+            return f"duplicate edge {(u, v)}"
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return n, tuple(rows)
+
+
+EDGE_FAULTS = ("tokens", "not-int", "order", "range", "repeat", "blank")
+
+
+def _spell(rng, x):
+    """x as a token Python's int reads: plain, signed, zero-padded, with an
+    underscore or in Arabic-Indic digits."""
+    return rng.choice([str(x), str(x), str(x), f"+{x}", f"0{x}",
+                       f"{x // 10}_{x % 10}" if x >= 10 else str(x),
+                       str(x).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))])
+
+
+def _edge_file(seed, faults):
+    """A G(n, 0.4) edge file in random line order and spelling, with one
+    line inserted per fault: a line of one or three tokens, a token int
+    cannot read, u >= v, an endpoint out of range, a repeat of an edge, or
+    a blank or ``#`` line.  The header counts the data lines."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    rng.shuffle(edges)
+    lines = [_spell(rng, u) + rng.choice([" ", "  ", "\t", " \t "]) + _spell(rng, v)
+             for u, v in edges]
+    for fault in faults:
+        u, v = sorted(rng.sample(range(n), 2))
+        line = {
+            "tokens": rng.choice([f"{u}", f"{u} {v} {v}"]),
+            "not-int": rng.choice([f"{u} x", f"1.5 {v}", f"{u} 0x1", f"{u} {v}e0"]),
+            "order": rng.choice([f"{v} {u}", f"{u} {u}"]),
+            "range": rng.choice([f"{u} {n}", f"{u} {n + 5}", f"-1 {v}"]),
+            "repeat": "{} {}".format(*map(lambda x: _spell(rng, x), rng.choice(edges or [(u, v)]))),
+            "blank": rng.choice(["", "   ", "# comment", "#0 1"]),
+        }[fault]
+        if fault == "repeat" and not edges:
+            lines.append(line)
+        lines.insert(rng.randint(0, len(lines)), line)
+    data = [ln for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    return f"{n} {len(data)}\n" + "".join(f" {ln}\n" for ln in lines)
+
+
+def _parse_outcome(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       faults=st.lists(st.sampled_from(EDGE_FAULTS), max_size=2))
+@example(seed=0, faults=[])
+@example(seed=3, faults=["repeat", "tokens"])
+@example(seed=3, faults=["range", "not-int"])
+def test_parse_graph_matches_the_per_line_reader(seed, faults):
+    text = _edge_file(seed, faults)
+    assert _parse_outcome(text) == _line_by_line(text), text
+
+
+def test_parse_graph_reports_the_first_faulty_line_before_a_repeat():
+    assert _parse_outcome("3 3\n0 1\n0 1\n1 x\n") == "bad edge line: '1 x'"
+    assert _parse_outcome("3 3\n0 1\n2 1\n1 2 0\n") == "edge (2,1) violates 0 <= u < v < n"
+    assert _parse_outcome("3 3\n0 1\n1 2\n+0 1\n") == "duplicate edge (0, 1)"
+    assert _parse_outcome("3 2\n٠ ١\n1_0 2\n") == "edge (10,2) violates 0 <= u < v < n"
+    assert _parse_outcome("-1 0\n") == "row count must equal vertex count"
+
+
+def _edge_list_outcome(n, edges):
+    try:
+        return Graph.from_edge_list(n, edges).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+def _edge_list_by_edge(n, edges):
+    """Graph.from_edge_list as one checked loop: each edge in order is
+    checked for range, then for a loop, then for a repeat in either order."""
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"loop edge ({u},{v})"
+        if rows[u] >> v & 1:
+            return f"duplicate edge {(min(u, v), max(u, v))}"
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=0, max_value=9),
+       edges=st.lists(st.tuples(st.integers(min_value=-11, max_value=10),
+                                st.integers(min_value=-11, max_value=10)), max_size=12))
+@example(n=3, edges=[(0, 1), (2, 2), (1, 0)])
+@example(n=3, edges=[(1, 0), (0, 1), (0, 3)])
+@example(n=3, edges=[(-1, 0), (2, 1)])
+@example(n=3, edges=[(0, 2**70)])  # a shift by an unchecked endpoint would overflow
+@example(n=3, edges=[(2**70, 0)])
+def test_from_edge_list_matches_the_per_edge_loop(n, edges):
+    assert _edge_list_outcome(n, edges) == _edge_list_by_edge(n, edges)
+    assert _edge_list_outcome(n, iter(edges)) == _edge_list_by_edge(n, edges)
+
+
+ROWS_CASES = {"list": [0, 0], "float": (0.0, 0)}
+
+
+@pytest.mark.parametrize("case", sorted(ROWS_CASES))
+def test_rows_must_be_a_tuple_of_ints(case):
+    """A list of rows was accepted, leaving a Graph that cannot be hashed and
+    whose rows can change; a float row raised a TypeError from a shift."""
+    with pytest.raises(ValueError, match="rows must be a tuple of ints"):
+        Graph(2, ROWS_CASES[case])
+
+
+def test_input_checks_hold_under_python_O(tmp_path):
+    """-O strips assert statements: the bulk checks and the loops behind them
+    must give the same messages, and a malformed file must still exit 3."""
+    texts = [_edge_file(seed, faults) for seed in range(3)
+             for faults in [[fault] for fault in EDGE_FAULTS]
+             + [[a, b] for a in EDGE_FAULTS for b in EDGE_FAULTS]]
+    code = ("import json, sys\n"
+            "from graphfun.graph import Graph, GraphFormatError, parse_graph\n"
+            "out = []\n"
+            "for text in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        g = parse_graph(text)\n"
+            "        out.append([g.n, list(g.rows)])\n"
+            "    except GraphFormatError as exc:\n"
+            "        out.append(str(exc))\n"
+            "for rows in ([0, 0], (0.0, 0)):\n"
+            "    try:\n"
+            "        Graph(2, rows)\n"
+            "        out.append(None)\n"
+            "    except ValueError as exc:\n"
+            "        out.append(str(exc))\n"
+            "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphfun.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], input=json.dumps(texts),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    expected = [outcome if isinstance(outcome, str) else [outcome[0], list(outcome[1])]
+                for outcome in map(_line_by_line, texts)]
+    assert sum(isinstance(outcome, str) for outcome in expected) > len(texts) // 2
+    assert json.loads(proc.stdout) == expected + ["rows must be a tuple of ints"] * 2
+    path = tmp_path / "bad.txt"
+    path.write_text("3 2\n0 1\n1 x\n")
+    proc = subprocess.run([sys.executable, "-O", "-m", "graphfun.cli", "fun", "min", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3 and "bad edge line: '1 x'" in proc.stderr
