@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -244,27 +245,27 @@ def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
 
 
 def _cmd_verify(args) -> tuple[dict, tuple[str, ...]]:
-    passed, payload = verify.run_target(
-        args.target, seed=args.seed, cases=args.cases, t=args.t
-    )
+    options = {name: getattr(args, name) for name in args.options}
+    passed, payload = verify.run_target(args.target, **options)
     result = {"target": args.target, "passed": passed, "detail": payload}
-    return result, (args.target, str(args.seed), str(args.cases), str(args.t))
+    return result, (args.target, *(f"{k}={v}" for k, v in options.items()))
 
 
 # --- argument parsing -------------------------------------------------------
 
 
-def _modes(sub, command: str, help: str, handler, dest: str, file: str,
+def _modes(sub, command: str, help: str, handler, dest: str, file: str | None,
            names: list[str], **file_options) -> dict[str, argparse.ArgumentParser]:
     """Subcommand ``command`` with one nested parser per mode, stored in
     ``dest``; each mode takes the ``file`` argument (made with
-    ``file_options``) and only its own options."""
+    ``file_options``; none when ``file`` is None) and only its own options."""
     p = sub.add_parser(command, help=help)
     p.set_defaults(handler=handler)
     modes = p.add_subparsers(dest=dest, required=True)
     parsers = {name: modes.add_parser(name) for name in names}
-    for mode in parsers.values():
-        mode.add_argument(file, **file_options)
+    if file is not None:
+        for mode in parsers.values():
+            mode.add_argument(file, **file_options)
     return parsers
 
 
@@ -330,12 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
                "mode", "hypergraphfile", ["bound", "structure"])
     h["bound"].add_argument("--recheck", action="store_true")
 
-    ver = sub.add_parser("verify", help="run a verification target")
-    ver.add_argument("target", choices=sorted(verify.TARGETS))
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--cases", type=int, default=None)
-    ver.add_argument("--t", type=int, default=3)
-    ver.set_defaults(handler=_cmd_verify)
+    ver = _modes(sub, "verify", "run a verification target", _cmd_verify,
+                 "target", None, sorted(verify.TARGETS))
+    for name, target in ver.items():
+        # a target's options are its function's parameters, with its defaults
+        params = inspect.signature(verify.TARGETS[name]).parameters
+        target.set_defaults(options=tuple(params))
+        for p in params.values():
+            target.add_argument(f"--{p.name}", type=int, default=p.default)
     return ap
 
 

@@ -27,18 +27,13 @@ class WitnessFunction:
 
     ``table`` maps each observed adjacency profile (an int whose bit i is
     the adjacency to support[i]) to the common adjacency value.  Profiles
-    absent from the table were never observed and are don't-cares; the
-    totalized reading of the function maps them to 0.
+    absent from the table were never observed and are don't-cares.
     """
 
     target: int
     support: tuple[int, ...]
     table: dict[int, int]
     among: Optional[int] = None
-
-    def evaluate(self, profile: int) -> int:
-        # don't-care profiles read as 0 under totalization
-        return self.table.get(profile, 0)
 
     def verify(self, g: Graph) -> bool:
         """Replay the table on the graph and vertex mask it was built on."""

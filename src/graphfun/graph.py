@@ -20,8 +20,8 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Validation: the rows' count and type, loops and bits at or above
-        ``n``, then symmetry.
+        """Validation: the type of ``n``, the rows' count and type, loops
+        and bits at or above ``n``, then symmetry.
 
         Rows other than a tuple of ints raise a ValueError; the one type
         test is the tuple's, and a row that is not an int makes the checks
@@ -48,6 +48,8 @@ class Graph:
         the pair a pairwise scan of the lower triangle would find first.
         """
         n, rows = self.n, self.rows
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} is not an int")
         if n < 0 or len(rows) != n:
             raise ValueError("row count must equal vertex count")
         try:
@@ -380,11 +382,6 @@ def sym_diff_mask(g: Graph, u: int, v: int) -> int:
     return (g.rows[g._vertex(u)] ^ g.rows[g._vertex(v)]) & ~(1 << u) & ~(1 << v)
 
 
-def sym_diff_neighborhoods(g: Graph, u: int, v: int) -> frozenset[int]:
-    """Vertices different from u and v adjacent to exactly one of u, v."""
-    return frozenset(_bits(sym_diff_mask(g, u, v)))
-
-
 def is_twin_pair(g: Graph, u: int, v: int) -> bool:
     return sym_diff_mask(g, u, v) == 0
 
@@ -418,7 +415,7 @@ def data_lines(text: str) -> list[str]:
 
 def read_header(text: str, what: str) -> tuple[int, list[str]]:
     """(n, record lines) of a text whose data lines are a header ``n m``,
-    with n at most ``MAX_VERTICES``, and then exactly m ``what`` lines."""
+    with 0 <= n <= ``MAX_VERTICES``, and then exactly m ``what`` lines."""
     data = data_lines(text)
     if not data:
         raise GraphFormatError("missing header line 'n m'")
@@ -426,6 +423,8 @@ def read_header(text: str, what: str) -> tuple[int, list[str]]:
         n, m = map(int, data[0].split())
     except ValueError as exc:
         raise GraphFormatError(f"bad header line: {data[0]!r}") from exc
+    if n < 0:
+        raise GraphFormatError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
     if len(data) - 1 != m:
@@ -484,11 +483,6 @@ def format_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges()}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
 
 
 def write_graph(g: Graph, path) -> None:

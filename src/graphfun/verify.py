@@ -3,7 +3,9 @@
 Each target function runs a seeded batch of cases and returns
 ``(passed, payload)`` where the payload is a JSON-serializable summary with
 any counterexample embedded.  The CLI ``verify`` subcommand and the
-acceptance test suite are both thin wrappers over these functions.
+acceptance test suite are both thin wrappers over these functions; the
+CLI's options for a target are its function's parameters, with its
+defaults.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def _min_fun_at_most(g: Graph, k: int) -> bool:
     return _min_fun_over(g, (1 << g.n) - 1, k, {}) is None
 
 
-def verify_oracle_equivalence(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
+def verify_oracle_equivalence(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
     failures = []
     for i, g in _cycle_graphs(seed, cases):
         for y in range(g.n):
@@ -68,7 +70,7 @@ def _dense_intervals(n: int, seed: int) -> IntervalSet:
     return IntervalSet(tuple(lefts))
 
 
-def verify_unit_interval(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
+def verify_unit_interval(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     for i in range(cases):
@@ -91,7 +93,7 @@ def verify_unit_interval(seed: int = 0, cases: int = 100, **_ignored) -> tuple[b
     }
 
 
-def verify_permutation(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
+def verify_permutation(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     checked_exact = 0
@@ -115,7 +117,7 @@ def verify_permutation(seed: int = 0, cases: int = 100, **_ignored) -> tuple[boo
     }
 
 
-def verify_line_graph(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict]:
+def verify_line_graph(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     edges_checked = 0
@@ -134,7 +136,7 @@ def verify_line_graph(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool,
     }
 
 
-def verify_cwd_bound(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool, dict]:
+def verify_cwd_bound(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
     failures = []
     # anchor: the 4-label expression evaluates to exactly C5
     lg = kexpr.evaluate(kexpr.parse(kexpr.C5_EXPRESSION_TEXT))
@@ -157,7 +159,7 @@ def verify_cwd_bound(seed: int = 0, cases: int = 100, **_ignored) -> tuple[bool,
     return not failures, {"cases": cases, "failures": failures}
 
 
-def verify_sd_construction(t: int = 3, **_ignored) -> tuple[bool, dict]:
+def verify_sd_construction(t: int = 3) -> tuple[bool, dict]:
     if t < 1:
         # no t would be checked, so the target would pass vacuously
         raise ValueError(f"t must be >= 1, got {t}")
@@ -172,7 +174,7 @@ def verify_sd_construction(t: int = 3, **_ignored) -> tuple[bool, dict]:
     return passed, {"results": results}
 
 
-def verify_hypercube(**_ignored) -> tuple[bool, dict]:
+def verify_hypercube() -> tuple[bool, dict]:
     results = {}
     passed = True
     for n in (3, 4):
@@ -184,7 +186,7 @@ def verify_hypercube(**_ignored) -> tuple[bool, dict]:
     return passed, results
 
 
-def verify_degeneracy_bound(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
+def verify_degeneracy_bound(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
     failures = []
     for i, g in _cycle_graphs(seed, cases):
         fg = fun_graph(g).value
@@ -194,7 +196,7 @@ def verify_degeneracy_bound(seed: int = 0, cases: int = 200, **_ignored) -> tupl
     return not failures, {"cases": cases, "failures": failures}
 
 
-def verify_sd_link(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, dict]:
+def verify_sd_link(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
     """Structural inequalities tying functionality to degrees, symmetric
     differences, induced subgraphs and twins."""
     failures = []
@@ -219,7 +221,7 @@ def verify_sd_link(seed: int = 0, cases: int = 200, **_ignored) -> tuple[bool, d
     return not failures, {"cases": cases, "failures": failures}
 
 
-def verify_vcdim(seed: int = 0, cases: int = 50, **_ignored) -> tuple[bool, dict]:
+def verify_vcdim(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
     failures = []
     for n in range(1, 9):
         value = vc_dimension(families.shattering_graph(n)).value
@@ -248,7 +250,7 @@ def _no_thick_instance(seed: int) -> Hypergraph3:
     )
 
 
-def verify_hyper3(seed: int = 0, cases: int = 20, **_ignored) -> tuple[bool, dict]:
+def verify_hyper3(seed: int = 0, cases: int = 20) -> tuple[bool, dict]:
     rng = random.Random(seed)
     failures = []
     max_f = 0
@@ -294,11 +296,10 @@ TARGETS = {
 }
 
 
-def run_target(name: str, seed: int = 0, cases: int | None = None, t: int = 3):
-    kwargs = {"seed": seed, "t": t}
-    if cases is not None:
-        if cases < 1:
-            # zero cases would pass vacuously
-            raise ValueError(f"cases must be >= 1, got {cases}")
-        kwargs["cases"] = cases
-    return TARGETS[name](**kwargs)
+def run_target(name: str, **options):
+    """(passed, payload) of target ``name``; ``options`` are parameters of
+    its function, and the ones left out take that function's defaults."""
+    if options.get("cases", 1) < 1:
+        # zero cases would pass vacuously
+        raise ValueError(f"cases must be >= 1, got {options['cases']}")
+    return TARGETS[name](**options)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import resource
@@ -193,6 +194,27 @@ def test_options_of_other_modes_are_rejected(graph_file, tmp_path, capsys):
         assert main(argv) == 0, argv
         capsys.readouterr()
         out.unlink()
+    # verify: each target takes only the parameters of its function
+    from graphfun import verify
+
+    reads = {target: ("--seed", "--cases") for target in verify.TARGETS}
+    reads.update({"sd-construction": ("--t",), "hypercube": ()})
+    for target, own in sorted(reads.items()):
+        argv = ["verify", target] + (["--cases", "1"] if "--cases" in own else [])
+        for option in ("--seed", "--cases", "--t"):
+            if option not in own:
+                assert main(argv + [option, "1"]) == 2, argv + [option]
+                assert capsys.readouterr().out == "", argv + [option]
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    code, report = run(capsys, ["verify", "hypercube"])
+    assert code == 0 and report["seed"] is None
+    # a default gets the same digest whether it is spelled out or left out
+    for left_out, spelled_out in ((["--cases", "2"], ["--seed", "0", "--cases", "2"]),
+                                  ([], ["--seed", "0", "--cases", "200"])):
+        digests = {run(capsys, ["verify", "oracle-equivalence"] + options)[1]["input_digest"]
+                   for options in (left_out, spelled_out)}
+        assert len(digests) == 1, spelled_out
 
 
 def test_verify_rejects_nonpositive_cases(capsys):
@@ -432,6 +454,21 @@ def test_package_runs_as_a_module():
                            "--cases", "1"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["passed"] is True
+
+
+def test_all_lists_exactly_the_names_the_package_binds():
+    """``__all__`` holds the public names ``graphfun/__init__.py`` binds and
+    ``__version__``, so a deleted function cannot stay exported."""
+    tree = ast.parse(Path(graphfun.__file__).read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+    public = {name for name in bound if not name.startswith("_")}
+    assert sorted(graphfun.__all__) == sorted(public | {"__version__"})
+    assert all(hasattr(graphfun, name) for name in graphfun.__all__)
 
 
 @pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 24)])

@@ -23,7 +23,7 @@ from graphfun.graph import (
     is_twin_pair,
     mask_of,
     parse_graph,
-    sym_diff_neighborhoods,
+    sym_diff_mask,
 )
 from graphfun.families import hypercube, permutation_graph, random_graph, random_permutation
 from graphfun.symdiff import sd_pair
@@ -83,11 +83,11 @@ def test_induced_subgraph_reindexes_ascending():
 
 def test_sym_diff_excludes_endpoints():
     g = Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)])  # triangle
-    assert sym_diff_neighborhoods(g, 0, 1) == frozenset()
+    assert sym_diff_mask(g, 0, 1) == 0
     assert is_twin_pair(g, 0, 1)
     h = path(3)
-    assert sym_diff_neighborhoods(h, 0, 2) == frozenset()
-    assert sym_diff_neighborhoods(h, 0, 1) == frozenset({2})
+    assert sym_diff_mask(h, 0, 2) == 0
+    assert sym_diff_mask(h, 0, 1) == 0b100
 
 
 def test_mask_of():
@@ -326,7 +326,7 @@ RANGE_CASES = {
     "degree-negative": (lambda g: g.degree(-1), -1),
     "neighbors-n": (lambda g: g.neighbors(5), 5),
     "closed_neighborhood_mask-negative": (lambda g: g.closed_neighborhood_mask(-2), -2),
-    "sym_diff_neighborhoods-above-n": (lambda g: sym_diff_neighborhoods(g, 6, 0), 6),
+    "sym_diff_mask-above-n": (lambda g: sym_diff_mask(g, 6, 0), 6),
     "is_twin_pair-n": (lambda g: is_twin_pair(g, 0, 5), 5),
 }
 
@@ -435,7 +435,7 @@ def test_parse_graph_reports_the_first_faulty_line_before_a_repeat():
     assert _parse_outcome("3 3\n0 1\n2 1\n1 2 0\n") == "edge (2,1) violates 0 <= u < v < n"
     assert _parse_outcome("3 3\n0 1\n1 2\n+0 1\n") == "duplicate edge (0, 1)"
     assert _parse_outcome("3 2\n٠ ١\n1_0 2\n") == "edge (10,2) violates 0 <= u < v < n"
-    assert _parse_outcome("-1 0\n") == "row count must equal vertex count"
+    assert _parse_outcome("-1 0\n") == "vertex count -1 is negative"
 
 
 def _edge_list_outcome(n, edges):
@@ -486,6 +486,18 @@ def test_rows_must_be_a_tuple_of_ints(case):
         Graph(2, ROWS_CASES[case])
 
 
+N_CASES = {"bool": (True, (0,)), "float": (2.0, (0, 0))}
+
+
+@pytest.mark.parametrize("case", sorted(N_CASES))
+def test_vertex_count_must_be_an_int(case):
+    """Graph(True, (0,)) was accepted as a one-vertex graph, and
+    Graph(2.0, (0, 0)) blamed its rows."""
+    n, rows = N_CASES[case]
+    with pytest.raises(ValueError, match=f"vertex count {n} is not an int"):
+        Graph(n, rows)
+
+
 def test_input_checks_hold_under_python_O(tmp_path):
     """-O strips assert statements: the bulk checks and the loops behind them
     must give the same messages, and a malformed file must still exit 3."""
@@ -501,9 +513,9 @@ def test_input_checks_hold_under_python_O(tmp_path):
             "        out.append([g.n, list(g.rows)])\n"
             "    except GraphFormatError as exc:\n"
             "        out.append(str(exc))\n"
-            "for rows in ([0, 0], (0.0, 0)):\n"
+            "for n, rows in ((2, [0, 0]), (2, (0.0, 0)), (True, (0,)), (2.0, (0, 0))):\n"
             "    try:\n"
-            "        Graph(2, rows)\n"
+            "        Graph(n, rows)\n"
             "        out.append(None)\n"
             "    except ValueError as exc:\n"
             "        out.append(str(exc))\n"
@@ -515,7 +527,8 @@ def test_input_checks_hold_under_python_O(tmp_path):
     expected = [outcome if isinstance(outcome, str) else [outcome[0], list(outcome[1])]
                 for outcome in map(_line_by_line, texts)]
     assert sum(isinstance(outcome, str) for outcome in expected) > len(texts) // 2
-    assert json.loads(proc.stdout) == expected + ["rows must be a tuple of ints"] * 2
+    assert json.loads(proc.stdout) == expected + ["rows must be a tuple of ints"] * 2 + [
+        "vertex count True is not an int", "vertex count 2.0 is not an int"]
     path = tmp_path / "bad.txt"
     path.write_text("3 2\n0 1\n1 x\n")
     proc = subprocess.run([sys.executable, "-O", "-m", "graphfun.cli", "fun", "min", str(path)],
