@@ -263,8 +263,9 @@ def _modes(sub, command: str, help: str, handler, dest: str, file: str | None,
     p.set_defaults(handler=handler)
     modes = p.add_subparsers(dest=dest, required=True)
     parsers = {name: modes.add_parser(name) for name in names}
-    if file is not None:
-        for mode in parsers.values():
+    for mode in parsers.values():
+        mode.set_defaults(parser=mode)
+        if file is not None:
             mode.add_argument(file, **file_options)
     return parsers
 
@@ -310,16 +311,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("degeneracy", help="degeneracy and elimination order")
     d.add_argument("graphfile")
-    d.set_defaults(handler=_cmd_degeneracy)
+    d.set_defaults(handler=_cmd_degeneracy, parser=d)
 
     v = sub.add_parser("vcdim", help="VC-dimension of closed neighbourhoods")
     v.add_argument("graphfile")
-    v.set_defaults(handler=_cmd_vcdim)
+    v.set_defaults(handler=_cmd_vcdim, parser=v)
 
     k = sub.add_parser("kexpr", help="evaluate or check a k-expression")
     k.add_argument("mode", choices=["eval", "check"])
     k.add_argument("exprfile")
-    k.set_defaults(handler=_cmd_kexpr)
+    k.set_defaults(handler=_cmd_kexpr, parser=k)
 
     w = _modes(sub, "witness", "constructive small-support witnesses", _cmd_witness,
                "kind", "file", ["unit-interval", "permutation", "line-graph"])
@@ -345,7 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extras = ap.parse_known_args(argv)
+        if extras:
+            # reported with the usage of the parsed mode, which names its options
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     start = time.perf_counter()

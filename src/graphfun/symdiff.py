@@ -9,9 +9,10 @@ from .graph import Graph, _bits, hereditary_max_min, induced_subgraph, sym_diff_
 
 # sd_graph's default exact_limit.  At n = 24, G(n, 1/2), permutation
 # graphs and unit-interval graphs with left endpoints in [0, w), w = 2, 4,
-# 7, 10, take at most 1.0 s and 29 MB (six or eight seeds each); at n = 26
-# unit-interval graphs take up to 2.1 s and 44 MB, and at n = 28 up to
-# 6.6 s and 98 MB.
+# 7, 10, take at most 0.7 s and 29 MB (six seeds each, one call per
+# process, 2-vCPU virtual machine); at n = 26 unit-interval graphs take up
+# to 1.2 s and 45 MB, and at n = 28 up to 3.4 s and 99 MB.  Those graphs
+# have sd 1, where the size bound (|H|-1)//2 skips only sizes 2 to 4.
 SD_EXACT_LIMIT = 24
 
 
@@ -47,11 +48,16 @@ def sd_graph(g: Graph, exact_limit: int = SD_EXACT_LIMIT) -> SdResult:
     """Exact sd(G): max over induced subgraphs with >= 2 vertices of min_sd.
 
     graph.hereditary_max_min scores each subset H as a vertex mask of G and
-    stops at the first size whose bound |H|-2 (sd(x,y) excludes x and y)
-    cannot beat the best value.  Its search drops from the candidates each
-    w whose sd with the newest included vertex, counted within the
-    candidates, is at most the best value.  Only the winning subgraph is
-    built, to report its pair.
+    stops at the first size s = |H| whose bound (s-1)//2 cannot beat the
+    best value.  The bound is double counting: a vertex z of H lies in
+    N(x) xor N(y) - {x, y} for exactly d_z * (s-1-d_z) pairs {x, y} of H,
+    so the s(s-1)/2 pairs have sd summing to at most s * (s-1)**2 / 4: the
+    least sd, an integer at most their average (s-1)/2, is at most
+    (s-1)//2.  The sweep drops only sizes that cannot strictly beat the
+    best, so the value, pair and subgraph are those of the full sweep.  Its
+    search drops from the candidates each w whose sd with the newest
+    included vertex, counted within the candidates, is at most the best
+    value.  Only the winning subgraph is built, to report its pair.
     """
     if g.n < 2:
         raise ValueError("sd_graph needs at least 2 vertices")
@@ -97,7 +103,7 @@ def sd_graph(g: Graph, exact_limit: int = SD_EXACT_LIMIT) -> SdResult:
                 out |= bw
         return out
 
-    best_value, best_mask = hereditary_max_min(g, lambda size: size - 2, score, dead)
+    best_value, best_mask = hereditary_max_min(g, lambda size: (size - 1) // 2, score, dead)
     sub, mapping = induced_subgraph(g, _bits(best_mask))
     inner = min_sd(sub)
     pair = (mapping[inner.pair[0]], mapping[inner.pair[1]])

@@ -217,6 +217,27 @@ def test_options_of_other_modes_are_rejected(graph_file, tmp_path, capsys):
         assert len(digests) == 1, spelled_out
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["verify", "hypercube", "--seed", "5"], "usage: graphfun verify hypercube "),
+    (["fun", "vertex", "{graph}", "--vertex", "0", "--bogus"], "usage: graphfun fun vertex "),
+    (["gen", "hypercube", "--out", "{out}", "--seed", "5"], "usage: graphfun gen hypercube "),
+    (["sd", "graph", "{graph}", "--x", "0"], "usage: graphfun sd graph "),
+    (["degeneracy", "{graph}", "extra"], "usage: graphfun degeneracy "),
+    (["--bogus", "fun", "min", "{graph}"], "usage: graphfun fun min "),
+])
+def test_stray_options_are_reported_with_the_mode_usage(argv, usage, graph_file, tmp_path,
+                                                          capsys):
+    """An option the parsed mode does not take is an error of that mode, so
+    the usage shown lists the options it does take."""
+    out = tmp_path / "gen.out"
+    argv = [a.format(graph=graph_file, out=out) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(usage), captured.err
+    assert "unrecognized arguments: " in captured.err
+
+
 def test_verify_rejects_nonpositive_cases(capsys):
     for cases in ("0", "-1"):
         assert main(["verify", "oracle-equivalence", "--cases", cases]) == 2

@@ -448,6 +448,15 @@ FUN_SEARCHES = {
     "unit-interval-12": 24,
 }
 
+# sd_graph's scored subsets since its sweep stops at the size bound
+# (|H|-1)//2 instead of |H|-2; a looser bound scores more.
+SD_SCORED = {
+    "G(12,0.2)": 32,
+    "G(12,0.5)": 38,
+    "G(12,0.8)": 25,
+    "unit-interval-12": 64,
+}
+
 
 def _work(solver, g, monkeypatch):
     """(_fun_search calls, subsets scored) of ``solver`` on ``g``."""
@@ -484,3 +493,8 @@ def test_search_work_is_kept_and_scoring_falls(name, monkeypatch):
     assert fun_searches < searches
     assert fun_now < fun_scored
     assert sd_now < sd_scored
+
+
+@pytest.mark.parametrize("name", list(SD_SCORED))
+def test_sd_sweep_stops_at_its_size_bound(name, monkeypatch):
+    assert _work(sd_graph, GRAPHS[name](), monkeypatch) == (0, SD_SCORED[name])

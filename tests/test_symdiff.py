@@ -103,3 +103,30 @@ def test_sweeps_report_first_attaining_subset(g):
     sub, mapping = induced_subgraph(g, sg.subgraph)
     back = {v: i for i, v in enumerate(mapping)}
     assert naive_sd_pair(sub, back[sg.pair[0]], back[sg.pair[1]]) == sg.value
+
+
+def test_min_sd_is_at_most_half_of_n_minus_one_on_every_small_graph():
+    """sd_graph stops its sweep at size s once (s-1)//2 cannot beat the best
+    value.  Every graph on 2-6 vertices obeys that bound, and on 4, 5 and 6
+    vertices some graph attains it, so the bound cannot be lowered."""
+    for n in range(2, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        top = 0
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edge_list(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            value = min_sd(g).value
+            assert value <= (n - 1) // 2, (n, bits)
+            top = max(top, value)
+        if n >= 4:
+            assert top == (n - 1) // 2, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(
+    random_graph,
+    n=st.integers(min_value=2, max_value=14),
+    p=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+))
+def test_sd_graph_is_at_most_half_of_n_minus_one(g):
+    assert sd_graph(g).value <= (g.n - 1) // 2
