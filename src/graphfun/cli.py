@@ -143,7 +143,7 @@ def _cmd_sd(args) -> tuple[dict, tuple[str, ...]]:
         payload = {
             "value": res.value,
             "pair": list(res.pair),
-            "subgraph": sorted(res.subgraph) if res.subgraph is not None else None,
+            "subgraph": sorted(res.subgraph),
         }
     return payload, (text,)
 
@@ -317,10 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("graphfile")
     v.set_defaults(handler=_cmd_vcdim, parser=v)
 
-    k = sub.add_parser("kexpr", help="evaluate or check a k-expression")
-    k.add_argument("mode", choices=["eval", "check"])
-    k.add_argument("exprfile")
-    k.set_defaults(handler=_cmd_kexpr, parser=k)
+    _modes(sub, "kexpr", "evaluate or check a k-expression", _cmd_kexpr,
+           "mode", "exprfile", ["eval", "check"])
 
     w = _modes(sub, "witness", "constructive small-support witnesses", _cmd_witness,
                "kind", "file", ["unit-interval", "permutation", "line-graph"])

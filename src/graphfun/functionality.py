@@ -238,8 +238,6 @@ def _fun_search(g: Graph, y: int, cap: int, among: int) -> Optional[int]:
     N(y) and its complement in G[among] are always supports (constant
     function outside); the smaller seeds the bound."""
     masks = _resolver_masks(g, y, among)
-    if not masks:
-        return 0 if cap > 0 else None
     others = among & ~(1 << y)
     neigh = g.rows[y] & others
     non = others ^ neigh
@@ -352,7 +350,9 @@ def _min_fun_over(
     ``_peel`` rejects G[among] before any search; a search that rejects it
     adds its support to y's list in ``kept``.  At a negative floor nothing
     can be peeled, and the first vertex of degree or co-degree 0 in
-    G[among] has fun 0, so it is the arg-min unsearched.
+    G[among] has fun 0, so it is the arg-min unsearched.  Only those
+    vertices have fun 0, and at a floor >= 0 a support of size 0 returns
+    None, so the loop never goes on past one.
     """
     rows = g.rows
     if floor >= 0:
@@ -373,8 +373,6 @@ def _min_fun_over(
             if cap <= floor:
                 kept.setdefault(y, []).append(found)
                 return None
-            if cap == 0:
-                break
     return best
 
 
@@ -394,7 +392,9 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     Rejects graphs above ``exact_limit``; fun_graph_lower gives a lower
     bound for those, with no certificate.  graph.hereditary_max_min scores
     each subset H as a vertex mask of G and stops at the first size whose
-    bound floor((|H|-1)/2) cannot beat the best value.
+    bound floor((|H|-1)/2) cannot beat the best value.  fun obeys that
+    bound: N(y) and its complement in H are both supports of y, and one of
+    them has at most (|H|-1)/2 vertices.
 
     ``score`` (through ``_min_fun_over``) and ``dead`` both apply
     ``_peel`` with the supports ``kept`` by the sweep's searches.  A
@@ -429,7 +429,7 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
         alive = _peel(g.rows, kept, inc, cand, floor)
         return cand if alive is None else cand ^ alive
 
-    _, best_mask = hereditary_max_min(g, lambda size: (size - 1) // 2, score, dead)
+    _, best_mask = hereditary_max_min(g, score, dead)
     return _certified(g, *winner, best_mask)
 
 

@@ -283,7 +283,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 def hereditary_max_min(
     g: Graph,
-    bound: Callable[[int], int],
     score: Callable[[int, int], Optional[int]],
     dead: Callable[[int, int, int], int],
 ) -> tuple[int, int]:
@@ -294,10 +293,11 @@ def hereditary_max_min(
     no subgraph is built, and returns the parameter of G[H], or None when it
     is at most ``floor``.  Subsets go by decreasing size, then in
     ``itertools.combinations`` order; only a strict improvement replaces the
-    best.  The sweep stops at the first size whose ``bound(size)``, a cap on
-    the parameter that never grows as size falls, cannot beat the best.  G
-    is scored first, at floor -1, so a bound that is 0 at size 2 (fun's and
-    sd's are) stops the sweep there at the latest: no smallest size is given.
+    best.  The parameter must be at most (|H|-1)//2 on every H (fun's and
+    sd's are; their solvers give the proofs), so the sweep stops at the
+    first size s with (s-1)//2 at most the best.  G is scored first, at
+    floor -1, and the cap is 0 at size 2, so the sweep stops there at the
+    latest: no smallest size is given.
 
     Within one size, an include-first depth-first search over vertices
     0..n-1 reaches the subsets in that same order.  A node is an included
@@ -330,7 +330,7 @@ def hereditary_max_min(
     # dead's answer per (child, child's cand), for the current best value.
     asked: dict[tuple[int, int], int] = {}
     for size in range(g.n, 0, -1):
-        if bound(size) <= best_value:
+        if (size - 1) // 2 <= best_value:
             break
         # (inc, |inc|, cand); the vertices of cand - inc all lie above inc.
         stack = [(0, 0, (1 << g.n) - 1)]
@@ -380,10 +380,6 @@ def sym_diff_mask(g: Graph, u: int, v: int) -> int:
     if u == v:
         raise ValueError("symmetric difference of a vertex with itself")
     return (g.rows[g._vertex(u)] ^ g.rows[g._vertex(v)]) & ~(1 << u) & ~(1 << v)
-
-
-def is_twin_pair(g: Graph, u: int, v: int) -> bool:
-    return sym_diff_mask(g, u, v) == 0
 
 
 # --- text format ------------------------------------------------------------

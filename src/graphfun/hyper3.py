@@ -18,7 +18,6 @@ independent check of a found structure, works on vertex sets, and so do
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,6 @@ from .graph import Graph, _bits
 
 THICK_THRESHOLD = 32
 COVER_DEGREE_BOUND = 124     # 31 * 4: max degree in the cover case
-TWO_VERTEX_OVERLAP_BOUND = 90
 NO_THICK_WITNESS_BOUND = 462
 THICK_WITNESS_BOUND = 128
 
@@ -97,7 +95,7 @@ def _links(h: Hypergraph3, v: int, mask: int) -> list[tuple[tuple[int, int], int
     the pair is the hyperedge minus v, sorted."""
     out = []
     for i in _bits(mask):
-        a, b = sorted(u for u in h.edges[i] if u != v)
+        a, b = (u for u in h.edges[i] if u != v)
         out.append(((a, b), i))
     return out
 
@@ -132,7 +130,9 @@ def matching_or_cover(h: Hypergraph3, v: int) -> MatchingOrCover:
 def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     """Determining set F around hyperedge s, |F| <= 462, for hypergraphs
     without thick pairs.  Verified by replay on ``h.graph`` before
-    returning."""
+    returning.  With no thick pair, each pair in s lies in at most 31
+    hyperedges, s included, so at most 3 * 30 = 90 others meet s in two
+    vertices."""
     if thick_pairs(h):
         raise ValueError("hypergraph has a thick pair; use witness_thick")
     # F is a mask of hyperedge indices throughout
@@ -145,11 +145,6 @@ def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     a, b, c = (inc[v] for v in s_key)
 
     f = ((a & b) | (a & c) | (b & c)) & not_s  # meets s in two vertices
-    if f.bit_count() > TWO_VERTEX_OVERLAP_BOUND:
-        warnings.warn(
-            f"{f.bit_count()} hyperedges meet s in 2 vertices, above the nominal "
-            f"bound {TWO_VERTEX_OVERLAP_BOUND}", stacklevel=2
-        )
     rest = ((1 << len(edges)) - 1) & ~f & not_s
 
     for v in s_key:
@@ -192,10 +187,12 @@ def _find_disjoint_links(links: list[tuple[int, int]], k: int) -> Optional[list[
 
 
 def _verify_structure(h: Hypergraph3, st: ThickStructure) -> bool:
+    """Whether ``st`` is a structure of its ``kind`` in ``h``.  s must be a
+    hyperedge, so its three vertices are distinct."""
     edge_set = set(h.edges)
     v1, v2, v3 = st.s
     s_key = tuple(sorted(st.s))
-    if s_key not in edge_set or len({v1, v2, v3}) != 3:
+    if s_key not in edge_set:
         return False
     if any(p not in edge_set or p == s_key for p in st.parts):
         return False
@@ -228,7 +225,10 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
 
     The counting argument behind the existence proof is used only to guide
     the scan; whatever is returned has been re-checked against the
-    structure definitions.
+    structure definitions.  A windmill or broken windmill sits on a thick
+    pair (a, b), which lies in at least THICK_THRESHOLD = 32 hyperedges;
+    only one of them holds the apex, so its base ``with_pair(a, b, apex)``
+    has at least 31 hyperedges to take three from.
     """
     thick = thick_pairs(h)
     if not thick:
@@ -262,7 +262,7 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     # every hyperedge sitting on a thick pair, with the third vertex as apex
     candidates = []
     for i, e in enumerate(edges):
-        for a, b in itertools.combinations(sorted(e), 2):
+        for a, b in itertools.combinations(e, 2):
             if (a, b) in thick_set:
                 apex = next(iter(set(e) - {a, b}))
                 candidates.append((i, a, b, apex))
@@ -274,8 +274,6 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
         if found is None:
             continue
         base = with_pair(a, b, apex)
-        if len(base) < 3:
-            continue
         vanes = [tuple(sorted({apex, *links[j]})) for j in found]
         st = ThickStructure("windmill", (apex, a, b), tuple(base[:3] + vanes))
         if _verify_structure(h, st):
@@ -287,8 +285,6 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
         if degree > COVER_DEGREE_BOUND:
             continue
         base = with_pair(a, b, apex)
-        if len(base) < 3:
-            continue
         st = ThickStructure(
             "broken_windmill", (apex, a, b), tuple(base[:3]), apex_degree=degree
         )

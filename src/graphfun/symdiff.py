@@ -103,7 +103,7 @@ def sd_graph(g: Graph, exact_limit: int = SD_EXACT_LIMIT) -> SdResult:
                 out |= bw
         return out
 
-    best_value, best_mask = hereditary_max_min(g, lambda size: (size - 1) // 2, score, dead)
+    best_value, best_mask = hereditary_max_min(g, score, dead)
     sub, mapping = induced_subgraph(g, _bits(best_mask))
     inner = min_sd(sub)
     pair = (mapping[inner.pair[0]], mapping[inner.pair[1]])

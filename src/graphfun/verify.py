@@ -24,9 +24,9 @@ from .families import (
     sd_construction,
 )
 from .functionality import _min_fun_over, fun_graph, fun_vertex, min_fun
-from .graph import Graph, induced_subgraph, is_twin_pair
+from .graph import Graph, induced_subgraph
 from .params import degeneracy, vc_dimension
-from .symdiff import min_sd, sd_graph, sd_pair
+from .symdiff import sd_graph, sd_pair
 
 
 def _cycle_graphs(seed: int, cases: int):
@@ -207,9 +207,10 @@ def verify_sd_link(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
             if fun_of[y] > min(g.degree(y), g.n - 1 - g.degree(y)):
                 failures.append({"case": i, "kind": "degree", "vertex": y})
         for x, y in itertools.combinations(range(g.n), 2):
-            if fun_of[x] > sd_pair(g, x, y) + 1:
+            sd = sd_pair(g, x, y)
+            if fun_of[x] > sd + 1:
                 failures.append({"case": i, "kind": "sd-pair", "pair": [x, y]})
-            if is_twin_pair(g, x, y) and fun_of[x] > 1:
+            if sd == 0 and fun_of[x] > 1:
                 failures.append({"case": i, "kind": "twins", "pair": [x, y]})
         fg = fun_graph(g).value
         if g.n >= 2 and fg > sd_graph(g).value + 1:

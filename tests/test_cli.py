@@ -224,6 +224,7 @@ def test_options_of_other_modes_are_rejected(graph_file, tmp_path, capsys):
     (["sd", "graph", "{graph}", "--x", "0"], "usage: graphfun sd graph "),
     (["degeneracy", "{graph}", "extra"], "usage: graphfun degeneracy "),
     (["--bogus", "fun", "min", "{graph}"], "usage: graphfun fun min "),
+    (["kexpr", "eval", "{graph}", "--bogus"], "usage: graphfun kexpr eval "),
 ])
 def test_stray_options_are_reported_with_the_mode_usage(argv, usage, graph_file, tmp_path,
                                                           capsys):
@@ -490,6 +491,26 @@ def test_all_lists_exactly_the_names_the_package_binds():
     public = {name for name in bound if not name.startswith("_")}
     assert sorted(graphfun.__all__) == sorted(public | {"__version__"})
     assert all(hasattr(graphfun, name) for name in graphfun.__all__)
+
+
+def test_modules_read_every_name_they_import():
+    """Every module of the package but ``__init__.py`` reads each name it
+    imports, so an import that a deletion left behind fails here."""
+    unused = []
+    for path in sorted(Path(graphfun.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 @pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 24)])

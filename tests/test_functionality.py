@@ -155,6 +155,9 @@ def test_fun_graph_lower_is_a_lower_bound():
     g = random_graph(12, 0.5, 7)
     exact = fun_graph(g).value
     assert fun_graph_lower(g, trials=20, seed=0) <= exact
+    # a trial that beats min_fun: min_fun is 0, and a subgraph reaches fun(G) = 1
+    g = random_graph(10, 0.3, 0)
+    assert min_fun(g).value < fun_graph_lower(g, trials=20, seed=0) <= fun_graph(g).value
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,6 +222,10 @@ def test_fun_graph_matches_naive(g):
     assert min_fun(g).value == naive_min_fun(g)
 
 
+# A search that cuts a child at a mask with no unbanned candidate left.
+EMPTY_CANDIDATE_MASKS = [29, 1, 92, 72, 66, 176, 48, 194, 68, 24, 130, 114]
+
+
 def _min_hitting_size(masks, universe):
     """Brute force: size of a smallest subset of ``universe`` hitting every
     mask (each mask is nonempty and inside the universe)."""
@@ -231,6 +238,7 @@ def _min_hitting_size(masks, universe):
     st.integers(min_value=0, max_value=9),
     st.integers(min_value=0, max_value=255),
 )
+@example(EMPTY_CANDIDATE_MASKS, 8, 0)
 def test_min_hitting_set_matches_brute_force(masks, cap, guess):
     k = _min_hitting_size(masks, 255)
 
@@ -319,6 +327,7 @@ AND_PASS_EXAMPLES = [
 @example(*AND_PASS_EXAMPLES[0])
 @example(*AND_PASS_EXAMPLES[1])
 @example(*AND_PASS_EXAMPLES[2])
+@example(EMPTY_CANDIDATE_MASKS, 8, 0)
 def test_min_hitting_set_returns_the_reference_mask(masks, cap, guess):
     # the same mask, not only the same size: supports must not change
     init = guess if all(m & guess for m in masks) else 4095

@@ -20,7 +20,6 @@ from graphfun.graph import (
     GraphFormatError,
     format_graph,
     induced_subgraph,
-    is_twin_pair,
     mask_of,
     parse_graph,
     sym_diff_mask,
@@ -84,7 +83,6 @@ def test_induced_subgraph_reindexes_ascending():
 def test_sym_diff_excludes_endpoints():
     g = Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)])  # triangle
     assert sym_diff_mask(g, 0, 1) == 0
-    assert is_twin_pair(g, 0, 1)
     h = path(3)
     assert sym_diff_mask(h, 0, 2) == 0
     assert sym_diff_mask(h, 0, 1) == 0b100
@@ -327,7 +325,6 @@ RANGE_CASES = {
     "neighbors-n": (lambda g: g.neighbors(5), 5),
     "closed_neighborhood_mask-negative": (lambda g: g.closed_neighborhood_mask(-2), -2),
     "sym_diff_mask-above-n": (lambda g: sym_diff_mask(g, 6, 0), 6),
-    "is_twin_pair-n": (lambda g: is_twin_pair(g, 0, 5), 5),
 }
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -19,6 +20,7 @@ from graphfun.hyper3 import (
     ThickStructure,
     THICK_THRESHOLD,
     THICK_WITNESS_BOUND,
+    _verify_structure,
     find_thick_structure,
     fixture_broken_windmill,
     fixture_fly,
@@ -358,3 +360,45 @@ def test_bound_builds_the_incidence_table_once(h, thick, monkeypatch):
     intersection_graph(h)
     assert hyper3_fun_bound(h).thick_case == thick
     assert len(calls) == 1
+
+
+def _part(st, i, part):
+    return replace(st, parts=st.parts[:i] + (part,) + st.parts[i + 1:])
+
+
+X, Y = 200, 201  # ground vertices above every fixture's
+
+# (fixture, hyperedges added to it, its structure with one field changed).
+# The fixtures' structures have s = (0, 1, 2) in role order (v1, v2, v3).
+BAD_STRUCTURES = {
+    "s-repeats-a-vertex": (fixture_fly, (), lambda st: replace(st, s=(0, 0, 1))),
+    "part-not-a-hyperedge": (fixture_fly, (), lambda st: _part(st, 0, (0, 1, X))),
+    "part-equal-to-s": (fixture_windmill, (), lambda st: _part(st, 1, (0, 1, 2))),
+    "repeated-part": (fixture_broken_windmill, (), lambda st: _part(st, 2, st.parts[0])),
+    "fly-part-meets-s-wrongly": (fixture_fly, (), lambda st: _part(st, 0, (0, 2, 9))),
+    "windmill-base-misses-v2": (fixture_windmill, ((2, X, Y),),
+                                lambda st: _part(st, 0, (2, X, Y))),
+    "broken-windmill-base-misses-v2": (fixture_broken_windmill, ((2, X, Y),),
+                                       lambda st: _part(st, 0, (2, X, Y))),
+    "vane-holds-v2": (fixture_windmill, ((0, 1, X),), lambda st: _part(st, 3, (0, 1, X))),
+    "vanes-share-a-second-vertex": (fixture_windmill, ((0, 35, X),),
+                                    lambda st: _part(st, 4, (0, 35, X))),
+    "apex-degree-one-above": (fixture_broken_windmill, (),
+                              lambda st: replace(st, apex_degree=st.apex_degree + 1)),
+    "apex-degree-one-below": (fixture_broken_windmill, (),
+                              lambda st: replace(st, apex_degree=st.apex_degree - 1)),
+    "unknown-kind": (fixture_fly, (), lambda st: replace(st, kind="propeller")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_STRUCTURES))
+def test_verify_structure_rejects_each_broken_field(case):
+    """The independent check of thick structures accepts each fixture's
+    structure and rejects it once one field is wrong."""
+    builder, added, change = BAD_STRUCTURES[case]
+    h = builder()
+    st = find_thick_structure(h)
+    assert _verify_structure(h, st)
+    grown = Hypergraph3(Y + 1, h.edges + added)
+    assert _verify_structure(grown, st)
+    assert not _verify_structure(grown, change(st))

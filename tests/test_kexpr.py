@@ -41,6 +41,14 @@ def test_parse_errors_carry_position():
         parse("node(1,a) extra")
     with pytest.raises(KExprError):
         parse("u(node(1,a)")
+    for text, message in [
+        ("node(", "unexpected end of input at line 1, column 5"),
+        ("eta(1,", "unexpected end of input at line 1, column 6"),
+        ("node(1,()", "expected vertex name, found '(' at line 1, column 8"),
+    ]:
+        with pytest.raises(KExprError) as exc:
+            parse(text)
+        assert message in str(exc.value), text
 
 
 def test_evaluate_edge_semantics():

@@ -124,7 +124,7 @@ def test_sweeps_are_reproduced(name):
 
 
 def _sweep_args(module, solver, g):
-    """The (bound, score, dead) that ``solver`` hands
+    """The (score, dead) that ``solver`` hands
     graph.hereditary_max_min for ``g``, caught by wrapping the sweep while
     ``solver`` runs."""
     caught = []
@@ -245,7 +245,7 @@ def _fun_score(g, among, floor):
     p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# Two vertices: both bounds are 0 at size 2, so the sweep stops there.
+# Two vertices: the size bound is 0 at size 2, so the sweep stops there.
 @example(n=2, p=0.5, seed=0)
 @example(n=2, p=0.5, seed=1)
 def test_sweeps_match_plain_combinations_sweep(n, p, seed):
@@ -284,13 +284,13 @@ def test_sweeps_are_invariant_under_complement(n, p, seed):
     assert (s.value, s.pair, s.subgraph) == (cs.value, cs.pair, cs.subgraph)
 
 
-def _parent_sweep(g, bound, score, dead):
+def _parent_sweep(g, score, dead):
     """graph.hereditary_max_min before it kept ``dead``'s answers: the same
     search, asking ``dead`` at every node it makes."""
     best_value = -1
     best_mask = None
     for size in range(g.n, 0, -1):
-        if bound(size) <= best_value:
+        if (size - 1) // 2 <= best_value:
             break
         stack = [(0, 0, (1 << g.n) - 1)]
         while stack:
@@ -342,7 +342,7 @@ def test_kept_answers_change_no_scoring(rule, n, p, seed):
     if rule == "fun":
         _fun_sweeps_agree(g)
         return
-    bound, score, dead = _sweep_args(module, solver, g)
+    score, dead = _sweep_args(module, solver, g)
     results, scored, asked = [], [], []
     for sweep in (_parent_sweep, hereditary_max_min):
         scored.append([])
@@ -356,7 +356,7 @@ def test_kept_answers_change_no_scoring(rule, n, p, seed):
             asked[-1].append((inc, cand, floor))
             return dead(inc, cand, floor)
 
-        results.append(sweep(g, bound, logged_score, logged_dead))
+        results.append(sweep(g, logged_score, logged_dead))
     assert results[0] == results[1]
     assert scored[0] == scored[1]
     assert len(set(asked[1])) == len(asked[1])
@@ -370,7 +370,7 @@ def _solve_logged(module, solver, g, sweep):
     scored, asked = [], []
     real = module.hereditary_max_min
 
-    def logged(g, bound, score, dead):
+    def logged(g, score, dead):
         def logged_score(mask, floor):
             value = score(mask, floor)
             scored.append((mask, floor, value))
@@ -380,7 +380,7 @@ def _solve_logged(module, solver, g, sweep):
             asked.append((inc, cand, floor))
             return dead(inc, cand, floor)
 
-        return sweep(g, bound, logged_score, logged_dead)
+        return sweep(g, logged_score, logged_dead)
 
     module.hereditary_max_min = logged
     try:
@@ -468,11 +468,11 @@ def _work(solver, g, monkeypatch):
         return search(*args, **kwargs)
 
     def counted_sweep(sweep):
-        def wrapped(g, bound, score, dead):
+        def wrapped(g, score, dead):
             def counted_score(mask, floor):
                 counts["score"] += 1
                 return score(mask, floor)
-            return sweep(g, bound, counted_score, dead)
+            return sweep(g, counted_score, dead)
         return wrapped
 
     with monkeypatch.context() as m:
