@@ -95,7 +95,7 @@ class Hypergraph3:
             raise ValueError(f"vertex count {self.n} is negative")
         seen = set()
         for e in self.edges:
-            if len(set(e)) != 3:
+            if len(e) != 3 or len(set(e)) != 3:
                 raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
             if any(v < 0 or v >= self.n for v in e):
                 raise ValueError(f"hyperedge {e} out of range")
@@ -353,8 +353,6 @@ def format_intervals(iv: IntervalSet) -> str:
 def parse_hypergraph(text: str) -> Hypergraph3:
     n, records = read_header(text, "hyperedge")
     edges = [tuple(int(tok) for tok in ln.split()) for ln in records]
-    if any(len(e) != 3 for e in edges):
-        raise ValueError("each hyperedge line needs exactly 3 vertices")
     return Hypergraph3.from_edges(n, edges)
 
 

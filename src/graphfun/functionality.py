@@ -435,7 +435,8 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
 
 def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
     """Lower bound on fun(G), as a bare int with no certificate: max of
-    min_fun over G itself and ``trials`` seeded random induced subgraphs."""
+    min_fun over G itself and ``trials`` seeded random induced subgraphs.
+    An empty draw scores nothing: ``_min_fun_over`` returns None for it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
@@ -443,8 +444,6 @@ def fun_graph_lower(g: Graph, trials: int, seed: int) -> int:
     kept: dict[int, list[int]] = {}
     for _ in range(trials):
         subset = mask_of(v for v in range(g.n) if rng.random() < 0.5)
-        if not subset:
-            continue
         found = _min_fun_over(g, subset, best, kept)
         if found is not None:
             best = found[1].bit_count()

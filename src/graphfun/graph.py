@@ -24,13 +24,14 @@ class Graph:
         and bits at or above ``n``, then symmetry.
 
         Rows other than a tuple of ints raise a ValueError; the one type
-        test is the tuple's, and a row that is not an int makes the checks
-        below raise a TypeError, which becomes that ValueError.  Bits at or
-        above ``n`` are checked on whole rows, with the least and the
-        greatest row (a negative row has such bits), and loops with the
-        diagonal of the packed matrix on the transpose path.  When a
-        whole-row check fails, and on the walk path, a loop over the rows in
-        order names the first faulty row, a loop before an out-of-range bit.
+        test is the tuple's, and rows with no length, or a row that is not
+        an int, make the checks raise a TypeError, which becomes that
+        ValueError.  Bits at or above ``n`` are checked on whole rows, with
+        the least and the greatest row (a negative row has such bits), and
+        loops with the diagonal of the packed matrix on the transpose path.
+        When a whole-row check fails, and on the walk path, a loop over the
+        rows in order names the first faulty row, a loop before an
+        out-of-range bit.
 
         Symmetry takes one of two paths.  Let W be the power of two at
         least max(n, 8).  When W² ≤ 16·(n + Σ row.bit_length()) and
@@ -50,9 +51,9 @@ class Graph:
         n, rows = self.n, self.rows
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is not an int")
-        if n < 0 or len(rows) != n:
-            raise ValueError("row count must equal vertex count")
         try:
+            if len(rows) != n:
+                raise ValueError("row count must equal vertex count")
             if type(rows) is not tuple:
                 raise TypeError
             if rows and (min(rows) < 0 or max(rows) >> n):

@@ -10,10 +10,11 @@ most 128 around a particular hyperedge.
 
 Every query for the hyperedges that contain or meet given vertices is a
 few AND / XOR / popcount operations on ``Hypergraph3.incidence``, the
-mask of hyperedge indices at each vertex.  ``_verify_structure``, the
-independent check of a found structure, works on vertex sets, and so do
-``witness_thick`` (a hyperedge index dict and vertex-set unions) and
-``find_thick_structure`` (a set of thick pairs).
+mask of hyperedge indices at each vertex; the hyperedge on three
+distinct vertices is the single bit of their masks' AND, which is how
+``witness_thick`` finds hyperedges.  Vertex-set tests remain in two
+places: ``_verify_structure``, the independent check of a found
+structure, and ``find_thick_structure``'s set of thick pairs.
 """
 from __future__ import annotations
 
@@ -228,7 +229,11 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     structure definitions.  A windmill or broken windmill sits on a thick
     pair (a, b), which lies in at least THICK_THRESHOLD = 32 hyperedges;
     only one of them holds the apex, so its base ``with_pair(a, b, apex)``
-    has at least 31 hyperedges to take three from.
+    has at least 31 hyperedges to take three from.  A fly's hub and its
+    mate z form a thick pair too, so its blades ``with_pair(hub, z, v)``
+    number at least 31 as well.  Only ``_verify_structure`` applies
+    COVER_DEGREE_BOUND to a broken windmill's apex; a candidate it
+    rejects is passed over, as any other.
     """
     thick = thick_pairs(h)
     if not thick:
@@ -254,10 +259,9 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
             z, *rest = mates
             spokes = [tuple(sorted({v, hub, u})) for u in rest[:3]]
             blades = with_pair(hub, z, v)
-            if len(blades) >= 3:
-                st = ThickStructure("fly", (hub, v, z), tuple(spokes + blades[:3]))
-                if _verify_structure(h, st):
-                    return st
+            st = ThickStructure("fly", (hub, v, z), tuple(spokes + blades[:3]))
+            if _verify_structure(h, st):
+                return st
 
     # every hyperedge sitting on a thick pair, with the third vertex as apex
     candidates = []
@@ -281,13 +285,9 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
 
     # broken windmill: the apex lies in few hyperedges besides hyperedge i
     for i, a, b, apex in candidates:
-        degree = inc[apex].bit_count() - 1
-        if degree > COVER_DEGREE_BOUND:
-            continue
         base = with_pair(a, b, apex)
-        st = ThickStructure(
-            "broken_windmill", (apex, a, b), tuple(base[:3]), apex_degree=degree
-        )
+        st = ThickStructure("broken_windmill", (apex, a, b), tuple(base[:3]),
+                            apex_degree=inc[apex].bit_count() - 1)
         if _verify_structure(h, st):
             return st
 
@@ -296,39 +296,32 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
 
 def witness_thick(h: Hypergraph3) -> tuple[tuple[int, int, int], tuple[int, ...]]:
     """(s, F) with |F| <= 128 determining s, in a hypergraph with a thick
-    pair.  Verified by replay on ``h.graph`` before returning."""
+    pair.  Verified by replay on ``h.graph`` before returning.
+
+    F is a mask of hyperedge indices.  The structure has passed
+    ``_verify_structure``, so each triple added besides its parts is three
+    distinct vertices outside s, and the hyperedge on it is the AND of
+    their masks."""
     st = find_thick_structure(h)
-    edges = h.edges
-    index = {e: i for i, e in enumerate(edges)}
-    s_key = tuple(sorted(st.s))
+    inc = h.incidence
     v1, v2, v3 = st.s
-    f: set[int] = set()
-
-    def add_if_present(vertices) -> None:
-        key = tuple(sorted(vertices))
-        if len(set(key)) == 3 and key in index and key != s_key:
-            f.add(index[key])
-
+    parts, f = st.parts, 0
     if st.kind == "fly":
-        f.update(index[p] for p in st.parts)
-        first, second = st.parts[:3], st.parts[3:]
-        add_if_present(set().union(*map(set, first)) - {v1, v2})
-        add_if_present(set().union(*map(set, second)) - {v1, v3})
+        triples = [*parts, set().union(*parts[:3]) - {v1, v2},
+                   set().union(*parts[3:]) - {v1, v3}]
     elif st.kind == "windmill":
-        f.update(index[p] for p in st.parts)
-        base, vanes = st.parts[:3], st.parts[3:]
-        add_if_present(set().union(*map(set, base)) - {v2, v3})
-        wings = [sorted(set(p) - {v1}) for p in vanes]
-        for combo in itertools.product(*wings):
-            add_if_present(combo)
+        wings = [sorted(set(p) - {v1}) for p in parts[3:]]
+        triples = [*parts, set().union(*parts[:3]) - {v2, v3}, *itertools.product(*wings)]
     else:
-        f.update(_bits(h.incidence[v1] & ~(1 << index[s_key])))
-        f.update(index[p] for p in st.parts)
-        add_if_present(set().union(*map(set, st.parts)) - {v2, v3})
-
-    if is_function_of(h.graph, index[s_key], f) is None:
+        f = inc[v1]
+        triples = [*parts, set().union(*parts) - {v2, v3}]
+    for a, b, c in triples:
+        f |= inc[a] & inc[b] & inc[c]
+    s_bit = inc[v1] & inc[v2] & inc[v3]
+    f_indices = tuple(_bits(f & ~s_bit))
+    if is_function_of(h.graph, s_bit.bit_length() - 1, f_indices) is None:
         raise RuntimeError("thick-pair witness failed verification")
-    return st.s, tuple(sorted(f))
+    return st.s, f_indices
 
 
 def hyper3_fun_bound(h: Hypergraph3) -> Hyper3Report:

@@ -23,6 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 
+from .functionality import min_fun
 from .graph import Graph
 
 KExpression = tuple[tuple, ...]
@@ -231,8 +232,6 @@ def check_fun_cwd_bound(e: KExpression) -> CwdBoundReport:
     A failure would falsify this implementation, not the underlying
     inequality between functionality and clique-width.
     """
-    from .functionality import min_fun
-
     lg = evaluate(e)
     k = label_count(e)
     res = min_fun(lg.graph)

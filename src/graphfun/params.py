@@ -2,6 +2,7 @@
 neighbourhood set system."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -29,8 +30,6 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     """
     if g.n == 0:
         raise ValueError("degeneracy of the empty graph is undefined")
-    import heapq
-
     deg = [g.degree(v) for v in range(g.n)]
     heap = [(deg[v], v) for v in range(g.n)]
     heapq.heapify(heap)

@@ -127,7 +127,11 @@ def _step1_supports(
     ``position_of()`` map.  (b, t) are x's nearest kept position-neighbours,
     lower and higher by value; (l, r) its nearest kept value-neighbours,
     left and right by position.  A removal set has at most four members, so
-    each nearest kept neighbour is among the five nearest on its side."""
+    each nearest kept neighbour is among the five nearest on its side.
+    Once b < x < t holds, lo and hi always exist: b is kept, so either b is
+    among x-1..x-5 and the scan below stops at it, or those are five
+    values and at most four of them are removed; the same holds for t
+    above x."""
     n = len(values)
     px = pos[x]
     left = values[max(px - 6, 0):px - 1][::-1]
@@ -153,13 +157,9 @@ def _step1_supports(
         for lo in below:
             if lo not in removed:
                 break
-        else:
-            continue
         for hi in above:
             if hi not in removed:
                 break
-        else:
-            continue
         plo, phi = pos[lo], pos[hi]
         if plo < px < phi:
             out.append((removed, (hi, b, lo, t)))

@@ -292,6 +292,37 @@ def test_bad_hypergraph_headers_are_parse_errors(tmp_path, capsys, text, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["1 2", "1 2 3 3"])
+def test_hyperedge_lines_of_other_than_three_vertices_are_parse_errors(tmp_path, capsys, line):
+    path = tmp_path / "h.txt"
+    path.write_text(f"5 1\n{line}\n")
+    assert main(["hyper3", "bound", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must have 3 distinct vertices" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "permutation", "--n", "0", "--out", "{tmp}/out.txt"], "need n >= 1"),
+    (["gen", "random-graph", "--n", "-1", "--out", "{tmp}/out.txt"], "need n >= 0 and 0 <= p <= 1"),
+    (["gen", "random-graph", "--p", "1.5", "--out", "{tmp}/out.txt"], "need n >= 0 and 0 <= p <= 1"),
+    (["gen", "unit-intervals", "--n", "0", "--out", "{tmp}/out.txt"], "need n >= 1"),
+    (["gen", "hypergraph", "--n", "2", "--out", "{tmp}/out.txt"], "need n >= 3"),
+    (["gen", "hypergraph", "--n", "4", "--m", "5", "--out", "{tmp}/out.txt"], "need 0 <= m <= 4"),
+    (["gen", "hypercube", "--out", "{tmp}/missing/x"], "cannot write"),
+    (["sd", "graph", "{tmp}/one.txt"], "sd_graph needs at least 2 vertices"),
+    (["fun", "min", "{tmp}/empty.txt"], "min_fun of the empty graph is undefined"),
+    (["fun", "graph", "{tmp}/empty.txt"], "fun_graph of the empty graph is undefined"),
+])
+def test_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
+    (tmp_path / "one.txt").write_text("1 0\n")
+    (tmp_path / "empty.txt").write_text("0 0\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    # no output file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt", "one.txt"]
+
+
 def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     from graphfun import witnesses
 
@@ -511,6 +542,18 @@ def test_modules_read_every_name_they_import():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unused == []
+
+
+def test_modules_import_only_at_module_level():
+    """Every module names what it imports in its header: an import inside a
+    function hides a dependency until the function first runs."""
+    nested = []
+    for path in sorted(Path(graphfun.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
 
 
 @pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 24)])

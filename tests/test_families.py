@@ -208,6 +208,11 @@ def test_hypergraph_validation():
     with pytest.raises(ValueError, match="increasing order"):
         Hypergraph3(6, ((0, 3, 4), (1, 5, 4)))
     assert Hypergraph3.from_edges(6, [(2, 1, 0)]).edges == ((0, 1, 2),)
+    # four entries with a repeat hold three distinct values
+    with pytest.raises(ValueError, match="must have 3 distinct vertices"):
+        Hypergraph3(5, ((1, 2, 3, 3),))
+    with pytest.raises(ValueError, match="must have 3 distinct vertices"):
+        Hypergraph3.from_edges(5, [(3, 1, 2, 3)])
 
 
 def test_interval_endpoints_with_an_exponent_are_rejected():

@@ -158,6 +158,11 @@ def test_fun_graph_lower_is_a_lower_bound():
     # a trial that beats min_fun: min_fun is 0, and a subgraph reaches fun(G) = 1
     g = random_graph(10, 0.3, 0)
     assert min_fun(g).value < fun_graph_lower(g, trials=20, seed=0) <= fun_graph(g).value
+    # the thirteenth of these draws is the empty subset, which scores nothing
+    g = random_graph(5, 0.5, 2)
+    assert min_fun(g).value < fun_graph_lower(g, trials=30, seed=0) == fun_graph(g).value
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        fun_graph_lower(g, trials=0, seed=0)
 
 
 @settings(max_examples=40, deadline=None)

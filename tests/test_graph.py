@@ -472,7 +472,7 @@ def test_from_edge_list_matches_the_per_edge_loop(n, edges):
     assert _edge_list_outcome(n, iter(edges)) == _edge_list_by_edge(n, edges)
 
 
-ROWS_CASES = {"list": [0, 0], "float": (0.0, 0)}
+ROWS_CASES = {"list": [0, 0], "float": (0.0, 0), "int": 5, "none": None}
 
 
 @pytest.mark.parametrize("case", sorted(ROWS_CASES))

@@ -14,6 +14,7 @@ from graphfun.families import Hypergraph3, incidence_masks, random_3_hypergraph
 from graphfun.functionality import is_function_of
 from graphfun.graph import Graph
 from graphfun.hyper3 import (
+    COVER_DEGREE_BOUND,
     NO_THICK_WITNESS_BOUND,
     Hyper3Report,
     MatchingOrCover,
@@ -346,6 +347,21 @@ def test_thick_constructions_are_pinned(instance, structure, witness):
     assert found_s == s and len(f) == size
     assert hashlib.sha256(repr(f).encode()).hexdigest()[:12] == digest
     assert hyper3_fun_bound(h) == Hyper3Report(s_index, s, f, size, True)
+
+
+def test_an_apex_over_the_cover_degree_bound_is_passed_over():
+    """Every hyperedge at apex 0 but s = (0, 1, 2) passes through 34, so
+    apex 0 has no windmill, and its broken windmill, over
+    COVER_DEGREE_BOUND, is rejected; the scan goes on to apex 3."""
+    fan = tuple((0, 34, 38 + k) for k in range(122))
+    h = Hypergraph3(160, fixture_broken_windmill().edges + fan)
+    degree = h.incidence[0].bit_count() - 1
+    assert degree == COVER_DEGREE_BOUND + 1
+    over = ThickStructure("broken_windmill", (0, 1, 2), ((1, 2, 3), (1, 2, 4), (1, 2, 5)), degree)
+    assert not _verify_structure(h, over)
+    assert find_thick_structure(h) == ThickStructure(
+        "broken_windmill", (3, 1, 2), ((0, 1, 2), (1, 2, 4), (1, 2, 5)), 0)
+    assert hyper3_fun_bound(h) == Hyper3Report(1, (3, 1, 2), (0, 2, 3), 3, True)
 
 
 @pytest.mark.parametrize("h,thick", [

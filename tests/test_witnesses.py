@@ -104,6 +104,8 @@ def test_classify_middles_example():
     vm, hm = classify_middles(Permutation((6, 1, 4, 2, 5, 3)))
     assert vm == frozenset({4, 2, 3})
     assert hm == frozenset({2, 5, 4})
+    with pytest.raises(ValueError, match="need at least 3 points"):
+        classify_middles(Permutation((2, 1)))
 
 
 def test_strict_middle_identity():
