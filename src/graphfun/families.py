@@ -29,6 +29,9 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.values)
+        if set(map(type, self.values)) - {int}:
+            bad = next(v for v in self.values if type(v) is not int)
+            raise ValueError(f"entry {bad!r} is not an int")
         if sorted(self.values) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..n")
 
@@ -97,6 +100,8 @@ class Hypergraph3:
         for e in self.edges:
             if len(e) != 3 or len(set(e)) != 3:
                 raise ValueError(f"hyperedge {e} must have 3 distinct vertices")
+            if set(map(type, e)) - {int}:
+                raise ValueError(f"hyperedge {e} has a vertex that is not an int")
             if any(v < 0 or v >= self.n for v in e):
                 raise ValueError(f"hyperedge {e} out of range")
             if not e[0] < e[1] < e[2]:

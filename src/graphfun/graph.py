@@ -121,10 +121,11 @@ def _check_rows(rows: tuple[int, ...], n: int) -> None:
 
 def _edge_rows(n: int, edges: list[tuple[int, int]]) -> list[int]:
     """The rows of the graph on 0..n-1 with ``edges``, from one unchecked
-    pass.  An endpoint out of range fails the pass: as an index at or above
-    n, or as a negative shift.  A loop or a repeated edge adds fewer than
-    two bits, so the rows' total popcount falls short of 2·len(edges).  In
-    either case the per-edge loop runs and names the first faulty edge."""
+    pass.  An endpoint that is not an int fails the pass as an index; one
+    out of range fails it as an index at or above n, or as a negative
+    shift.  A loop or a repeated edge adds fewer than two bits, so the
+    rows' total popcount falls short of 2·len(edges).  In either case the
+    per-edge loop runs and names the first faulty edge."""
     rows = [0] * n
     try:
         for u, v in edges:
@@ -139,6 +140,8 @@ def _edge_rows(n: int, edges: list[tuple[int, int]]) -> list[int]:
         pass
     rows = [0] * n
     for u, v in edges:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

@@ -218,11 +218,34 @@ def permutation_witness(p: Permutation) -> DnfWitness:
     middle three by position of some 5 value-consecutive points.  Each
     window is sorted once.  The candidates are tried by support size, then
     by x, then in window order (position windows outer, value windows
-    inner), and the first that replays is returned.  One pass over the
-    points puts each candidate in the bucket of its size, counted from the
-    coincidences among its roles, so no candidate list is sorted and only
-    the candidates replayed get a support tuple.  The witness is verified
-    on ``p.graph``.
+    inner), and the first that replays is returned.  A candidate's size is
+    counted from the coincidences among its roles, so no candidate list is
+    sorted and only the candidates replayed get a support tuple.  The
+    witness is verified on ``p.graph``.
+
+    A point is scanned only when the replay order reaches its bound.  Let
+    NB(x) be the points other than x within 5 positions and within 5
+    values of x.  Every candidate of x has size at least max(4, 8 - |NB(x)|):
+
+    - size = 8 - c, where c counts the coincidences of r or l with b or t,
+      and of m1 or m2 with m3 or m4;
+    - r or l in {b, t} is a kept point that is a nearest kept
+      value-neighbour (within 5 values, since a removal set has at most
+      four members) and a nearest kept position-neighbour (within 5
+      positions);
+    - m1 or m2 in {m3, m4} is a removed point that is a value-window
+      companion (within 4 values) and a position-window companion (within
+      4 positions);
+    - r != l, m1 != m2, and no kept point is removed, so each coincidence
+      names its own point of NB(x).
+
+    Each simultaneous weak middle x starts, unscanned, in the bucket of its
+    bound.  Buckets are replayed smallest first, each in x order.  When the
+    replay reaches x in bucket s, x is scanned there: its candidates of
+    size s are replayed on the spot, in window order, and each larger one
+    is inserted into its own bucket at its (x, window order) place.  So the
+    candidates are replayed in (size, x, window order), and a point whose
+    bound exceeds the winning size is never scanned.
     """
     if p.n < MIN_PERMUTATION_POINTS:
         raise ValueError(
@@ -236,28 +259,50 @@ def permutation_witness(p: Permutation) -> DnfWitness:
     by_value = _companions(
         (sorted(range(v, v + 5), key=pos.__getitem__) for v in range(1, p.n - 3)), p.n
     )
-    buckets = [[] for _ in range(5)]  # support sizes 4..8
+    # support sizes 4..8; an entry is (x,) for a point not yet scanned and
+    # (x, window order, support, removed) for a candidate
+    buckets = [[] for _ in range(5)]
+    near = [0] * (p.n + 1)  # |NB(x)|, from the pairs within 5 positions
+    for d in range(1, 6):
+        for a, b in zip(values, values[d:]):
+            if -6 < a - b < 6:
+                near[a] += 1
+                near[b] += 1
     for x in range(1, p.n + 1):
-        val_pairs = by_value[x]
-        pos_pairs = by_position[x]
-        if not val_pairs or not pos_pairs:
-            continue
-        removals = [(m1, m2, m3, m4) for m3, m4 in pos_pairs for m1, m2 in val_pairs]
-        for removed, support in _step1_supports(values, pos, x, removals):
-            m1, m2, m3, m4 = removed
-            r, b, l, t = support
-            # r, b, l, t are never removed, and r != l, b != t, m1 != m2,
-            # m3 != m4: the support shrinks only where r or l is b or t, or
-            # m1 or m2 is m3 or m4
-            size = (8 - (r == b or r == t) - (l == b or l == t)
-                    - (m1 == m3 or m1 == m4) - (m2 == m3 or m2 == m4))
-            buckets[size - 4].append((x, support, removed))
-    for bucket in buckets:
-        for x, support, removed in bucket:
-            full = support + tuple(sorted(set(removed)))
-            witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
-            if witness.verify(p.graph):
-                return witness
+        if by_value[x] and by_position[x]:
+            buckets[max(0, 4 - near[x])].append((x,))
+
+    def in_replay_order():
+        for s, bucket in enumerate(buckets, start=4):
+            for entry in bucket:
+                if len(entry) > 1:
+                    yield entry[0], entry[2], entry[3]
+                    continue
+                x = entry[0]
+                removals = [(m1, m2, m3, m4) for m3, m4 in by_position[x]
+                            for m1, m2 in by_value[x]]
+                for k, (removed, support) in enumerate(
+                        _step1_supports(values, pos, x, removals)):
+                    m1, m2, m3, m4 = removed
+                    r, b, l, t = support
+                    # r, b, l, t are never removed, and r != l, b != t,
+                    # m1 != m2, m3 != m4: the support shrinks only where r
+                    # or l is b or t, or m1 or m2 is m3 or m4
+                    size = (8 - (r == b or r == t) - (l == b or l == t)
+                            - (m1 == m3 or m1 == m4) - (m2 == m3 or m2 == m4))
+                    if size == s:
+                        yield x, support, removed
+                    elif size > s:
+                        bisect.insort(buckets[size - 4], (x, k, support, removed))
+                    else:
+                        raise RuntimeError(
+                            f"candidate of size {size} at point {x} below its bound {s}")
+
+    for x, support, removed in in_replay_order():
+        full = support + tuple(sorted(set(removed)))
+        witness = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
+        if witness.verify(p.graph):
+            return witness
     raise RuntimeError("no simultaneous weak middle point produced a verified witness")
 
 

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import os
 import resource
@@ -554,6 +556,31 @@ def test_modules_import_only_at_module_level():
         nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert nested == []
+
+
+def test_every_traced_boundary_exists():
+    """perfbench's tracer wraps each (module, "name") or (module,
+    "Class.method") of its BOUNDARIES in graphfun; one the program no
+    longer has reads null in the per-layer metrics, and only the perfbench
+    smoke tests would notice."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    boundaries = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["BOUNDARIES"])
+    assert boundaries
+    missing = []
+    for module, attr in boundaries:
+        holder = importlib.import_module(f"graphfun.{module}")
+        owner, _, name = attr.rpartition(".")
+        if owner:
+            holder = getattr(holder, owner, None)
+            found = vars(holder).get(name) if isinstance(holder, type) else None
+        else:
+            found = getattr(holder, name, None)
+        if not inspect.isfunction(found):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 @pytest.mark.parametrize("command, limit", [("fun", 20), ("sd", 24)])

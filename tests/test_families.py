@@ -56,6 +56,14 @@ def test_permutation_validation():
         Permutation((1, 1, 2))
 
 
+def test_permutation_entries_must_be_ints():
+    """Permutation((2.0, 1, 3)) was accepted, and permutation_graph then
+    failed on a shift by a float."""
+    for values, entry in (((2.0, 1, 3), "2.0"), ((2, True), "True"), ((1, "2"), "'2'")):
+        with pytest.raises(ValueError, match=f"entry {entry} is not an int"):
+            Permutation(values)
+
+
 def test_permutation_graph_inversions():
     # neighbours of value 4 in 614253 are {6, 2, 3}
     g = permutation_graph(Permutation((6, 1, 4, 2, 5, 3)))
@@ -191,6 +199,14 @@ def test_random_unit_intervals_distinct_endpoints():
         iv = random_unit_intervals(12, seed)
         pts = [l for l in iv.lefts] + [l + 1 for l in iv.lefts]
         assert len(set(pts)) == 2 * iv.n
+
+
+def test_hyperedge_vertices_must_be_ints():
+    """Hypergraph3(5, ((0, 1, 2.0),)) was accepted, and its graph then
+    failed on a float list index."""
+    for edge in ((0, 1, 2.0), (0, True, 2)):
+        with pytest.raises(ValueError, match="has a vertex that is not an int"):
+            Hypergraph3(5, (edge,))
 
 
 def test_hypergraph_validation():

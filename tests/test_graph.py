@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -470,6 +471,22 @@ def _edge_list_by_edge(n, edges):
 def test_from_edge_list_matches_the_per_edge_loop(n, edges):
     assert _edge_list_outcome(n, edges) == _edge_list_by_edge(n, edges)
     assert _edge_list_outcome(n, iter(edges)) == _edge_list_by_edge(n, edges)
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 1.0)], "(0,1.0)"),
+    ([(0, "1")], "(0,'1')"),
+    ([(0, 1), (1, 2.0), (0, 3)], "(1,2.0)"),
+], ids=["float", "str", "first"])
+def test_edge_endpoints_must_be_ints(edges, named):
+    """A float endpoint raised a TypeError from a shift, and a str one from
+    the range test; a bool passes the checking loop as it passes the
+    unchecked one."""
+    with pytest.raises(ValueError, match=re.escape(f"edge {named} has an endpoint that is not an int")):
+        Graph.from_edge_list(3, edges)
+    assert Graph.from_edge_list(3, [(0, True)]).rows == (2, 1, 0)
+    with pytest.raises(ValueError, match=re.escape("edge (0,5) out of range for n=3")):
+        Graph.from_edge_list(3, [(0, True), (0, 5)])
 
 
 ROWS_CASES = {"list": [0, 0], "float": (0.0, 0), "int": 5, "none": None}

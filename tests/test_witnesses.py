@@ -235,10 +235,10 @@ def test_line_graph_witness_rejects_mismatched_names():
         line_graph_witness((lg, names[:-1]), (0, 1))
 
 
-def _reference_permutation_witness(p):
-    """permutation_witness by its definition, point by point: the windows
-    around x, x's reduced neighbours found by scanning, every candidate
-    ordered by (size, x) and the first that replays returned."""
+def _reference_permutation_candidates(p):
+    """permutation_witness's candidates by their definition, point by point:
+    the windows around x and x's reduced neighbours found by scanning, as
+    (size, x, full support) in x order, then window order."""
     pos = p.position_of()
     values, n = p.values, p.n
 
@@ -268,8 +268,14 @@ def _reference_permutation_witness(p):
                 r, l = (below, above) if pos[below] > pos[above] else (above, below)
                 full = (r, min(left, right), l, max(left, right)) + tuple(sorted(removed))
                 candidates.append((len(set(full)), x, full))
+    return candidates
+
+
+def _reference_permutation_witness(p):
+    """permutation_witness by its definition: every candidate ordered by
+    (size, x) and the first that replays returned."""
     g = permutation_graph(p)
-    for _, x, full in sorted(candidates, key=lambda c: (c[0], c[1])):
+    for _, x, full in sorted(_reference_permutation_candidates(p), key=lambda c: (c[0], c[1])):
         w = DnfWitness(x - 1, tuple(v - 1 for v in full), ((0, 1), (2, 3)))
         if w.verify(g):
             return w
@@ -283,12 +289,14 @@ def test_permutation_witness_matches_pointwise_definition(n, seed):
     assert permutation_witness(p) == _reference_permutation_witness(p)
 
 
-@pytest.mark.parametrize("n, seed", [(20, 1), (30, 1), (40, 0)])
+@pytest.mark.parametrize("n, seed", [(20, 1), (30, 1), (40, 0), (150, 1), (200, 8)])
 def test_refused_witnesses_fall_through_in_size_then_x_order(monkeypatch, n, seed):
     # Every pool witness replays on its first try, so the fallback order is
     # exercised by refusing each winner in turn: every refusal must move both
-    # implementations to the same next candidate.  On these permutations the
-    # eight winners cross a size boundary to a smaller x.
+    # implementations to the same next candidate.  On the first three
+    # permutations the eight winners cross a size boundary to a smaller x; on
+    # the last two they go from size 6 to size 7, so points scanned late are
+    # replayed.
     p = random_permutation(n, seed)
     refused = set()
     replay = DnfWitness.verify
@@ -304,3 +312,23 @@ def test_refused_witnesses_fall_through_in_size_then_x_order(monkeypatch, n, see
         sizes.append(len(set(w.support)))
         refused.add((w.target, w.support))
     assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(13, 120), st.integers(0, 2**32 - 1))
+def test_every_candidate_meets_its_support_size_bound(n, seed):
+    """The bound that lets permutation_witness leave a point unscanned: a
+    candidate at x has size at least max(4, 8 - |NB(x)|), where NB(x) is
+    the points other than x within 5 positions and within 5 values of x."""
+    p = random_permutation(n, seed)
+    pos = p.position_of()
+    for size, x, _ in _reference_permutation_candidates(p):
+        near = sum(1 for y in range(1, n + 1)
+                   if y != x and abs(y - x) <= 5 and abs(pos[y] - pos[x]) <= 5)
+        assert size >= max(4, 8 - near)
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (150, 200, 300) for seed in (2, 3, 4)])
+def test_permutation_witness_matches_pointwise_definition_at_large_n(n, seed):
+    p = random_permutation(n, seed)
+    assert permutation_witness(p) == _reference_permutation_witness(p)
