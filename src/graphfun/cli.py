@@ -204,7 +204,7 @@ def _cmd_witness(args) -> tuple[dict, tuple[str, ...]]:
         if not instance.has_edge(u, v):
             raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
         w = witnesses.line_graph_witness(line, (u, v))
-        host = line[0]
+        host = line
     payload = {
         "target": w.target,
         "support": list(w.support),

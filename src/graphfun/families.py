@@ -13,12 +13,12 @@ comment lines are ignored.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph, data_lines, read_header
+from .graph import Graph, check_vertex_count, data_lines, read_header
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ class Hypergraph3:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        check_vertex_count(self.n)
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is negative")
         seen = set()
@@ -125,6 +126,44 @@ class Hypergraph3:
         """The intersection graph: one vertex per hyperedge in input order,
         adjacent iff the hyperedges share a ground-set vertex."""
         return _incidence_graph(self.incidence, self.edges)
+
+
+@dataclass(frozen=True)
+class LineGraph:
+    """L(G) of the graph ``root``, prepared once: one vertex per edge of G
+    in lexicographic order, adjacent iff the edges share an endpoint.
+
+    ``names``, the edges of G, and ``incidence``, their ``incidence_masks``
+    on G's vertices, are built from ``root`` at construction; ``row(e)``
+    reads vertex e's row of L(G) from them, so a query touches two masks
+    and no m-vertex ``Graph`` is built.  ``graph`` is L(G) itself, built on
+    first use.  Equality and hashing read only ``root``."""
+
+    root: Graph
+    names: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    incidence: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = tuple(self.root.edges())
+        if not names:
+            raise ValueError("line graph of an edgeless graph is undefined")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "incidence", tuple(incidence_masks(self.root.n, names)))
+        object.__setattr__(self, "n", len(names))
+
+    def row(self, e: int) -> int:
+        """The edges other than e that share an endpoint with edge e, as a
+        mask of edge indices; a ValueError names an e outside 0..n-1."""
+        if not 0 <= e < self.n:
+            raise ValueError(f"vertex {e} out of range for n={self.n}")
+        p, q = self.names[e]
+        return (self.incidence[p] | self.incidence[q]) & ~(1 << e)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """L(G) as a ``Graph``, built from the incidence table on first use."""
+        return _incidence_graph(self.incidence, self.names)
 
 
 # --- deterministic constructions -------------------------------------------
@@ -204,13 +243,10 @@ def _incidence_graph(inc: Sequence[int], edges: Sequence[tuple[int, ...]]) -> Gr
     return Graph(len(edges), tuple(rows))
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """L(G): one vertex per edge of G in lexicographic order; adjacency iff
-    the edges share an endpoint.  The edge list maps vertices back."""
-    edge_names = tuple(g.edges())
-    if not edge_names:
-        raise ValueError("line graph of an edgeless graph is undefined")
-    return _incidence_graph(incidence_masks(g.n, edge_names), edge_names), edge_names
+def line_graph(g: Graph) -> LineGraph:
+    """L(G), prepared for row queries: ``LineGraph(g)``.  Its ``names`` map
+    the vertices of L(G) back to the edges of G; ``.graph`` builds L(G)."""
+    return LineGraph(g)
 
 
 def shattering_graph(n: int) -> Graph:

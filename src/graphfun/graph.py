@@ -49,8 +49,7 @@ class Graph:
         the pair a pairwise scan of the lower triangle would find first.
         """
         n, rows = self.n, self.rows
-        if type(n) is not int:
-            raise ValueError(f"vertex count {n!r} is not an int")
+        check_vertex_count(n)
         try:
             if len(rows) != n:
                 raise ValueError("row count must equal vertex count")
@@ -74,7 +73,9 @@ class Graph:
     def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph on 0..n-1 with ``edges``.  Edges are checked in order,
         and the first edge out of range, a loop or a repeat (in either
-        order) raises a ValueError that names it."""
+        order) raises a ValueError that names it.  An ``n`` that is not an
+        int raises before any row is allocated."""
+        check_vertex_count(n)
         return Graph(n, tuple(_edge_rows(n, list(edges))))
 
     def _vertex(self, v: int) -> int:
@@ -83,17 +84,21 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return v
 
+    def row(self, v: int) -> int:
+        """The neighbourhood mask of v; a ValueError names a v outside 0..n-1."""
+        return self.rows[self._vertex(v)]
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[self._vertex(u)] >> self._vertex(v) & 1)
+        return bool(self.row(u) >> self._vertex(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self.rows[self._vertex(v)].bit_count()
+        return self.row(v).bit_count()
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.rows[self._vertex(v)]))
+        return frozenset(_bits(self.row(v)))
 
     def closed_neighborhood_mask(self, v: int) -> int:
-        return self.rows[self._vertex(v)] | (1 << v)
+        return self.row(v) | (1 << v)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -108,6 +113,13 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise a ValueError for a vertex count that is not an int, ``True``
+    included."""
+    if type(n) is not int:
+        raise ValueError(f"vertex count {n!r} is not an int")
 
 
 def _check_rows(rows: tuple[int, ...], n: int) -> None:

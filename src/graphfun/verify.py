@@ -124,11 +124,14 @@ def verify_line_graph(seed: int = 0, cases: int = 50) -> tuple[bool, dict]:
     for i in range(cases):
         g = random_graph(30, 0.3, rng.randrange(2**32))
         line = families.line_graph(g)
-        for e in line[1]:
+        for e in line.names:
             edges_checked += 1
             w = witnesses.line_graph_witness(line, e)
             if len(w.support) > 6:
                 failures.append({"case": i, "edge": list(e), "support": len(w.support)})
+            # line_graph_witness replayed it on line.row; replay it on L(G) built whole
+            if not w.verify(line.graph):
+                failures.append({"case": i, "edge": list(e), "replay": False})
     return not failures, {
         "cases": cases,
         "edges_checked": edges_checked,

@@ -11,7 +11,7 @@ import bisect
 from dataclasses import dataclass
 
 from .graph import Graph, _bits, mask_of
-from .families import IntervalSet, Permutation
+from .families import IntervalSet, LineGraph, Permutation
 from .symdiff import sd_pair
 
 
@@ -36,14 +36,15 @@ class DnfWitness:
                 return 1
         return 0
 
-    def verify(self, g: Graph) -> bool:
+    def verify(self, host: Graph | LineGraph) -> bool:
         """Replay every vertex outside {target} | support at once: a term
         holds at exactly the vertices adjacent to all its support vertices,
         so the DNF's true set is the OR over terms of the AND of their rows.
-        A target or support vertex outside g raises ValueError."""
-        trow = g.rows[g._vertex(self.target)]
-        domain = ((1 << g.n) - 1) & ~(mask_of(self.support) | (1 << self.target))
-        literals = [g.rows[g._vertex(x)] for x in self.support]
+        Only ``host.n`` and the rows ``host.row(v)`` of the target and the
+        support are read, and a vertex outside the host raises ValueError."""
+        trow = host.row(self.target)
+        domain = ((1 << host.n) - 1) & ~(mask_of(self.support) | (1 << self.target))
+        literals = [host.row(x) for x in self.support]
         true_set = 0
         for term in self.terms:
             holds = domain
@@ -309,31 +310,26 @@ def permutation_witness(p: Permutation) -> DnfWitness:
 # --- line graphs ------------------------------------------------------------
 
 
-def line_graph_witness(
-    line: tuple[Graph, tuple[tuple[int, int], ...]], x: tuple[int, int]
-) -> DnfWitness:
+def line_graph_witness(line: LineGraph, x: tuple[int, int]) -> DnfWitness:
     """Witness of size at most 6 for the vertex of L(G) corresponding to
     edge x, built from up to three incident edges at each endpoint.
 
-    ``line`` is the ``line_graph(g)`` pair: L(G) and its vertices' edges of
-    G, in lexicographic order.  An endpoint's degree in G is its incident
-    edges in L(G) plus x.  An endpoint of degree at least 4 contributes a
-    3-edge conjunction; a lower-degree endpoint contributes all its other
+    ``line`` is the ``line_graph(g)`` instance.  The edges at an endpoint
+    other than x are its incidence mask within the target's row, taken in
+    index order.  An endpoint of degree at least 4 contributes a 3-edge
+    conjunction; a lower-degree endpoint contributes all its other
     incident edges to the support with no term.  Both terms dropped means
-    the constant-0 function.
+    the constant-0 function.  The witness is replayed on ``line``'s rows.
     """
-    lg, names = line
-    if len(names) != lg.n:
-        raise ValueError(f"{len(names)} edge names for a line graph on {lg.n} vertices")
+    names = line.names
     a, b = min(x), max(x)
     target = bisect.bisect_left(names, (a, b))
     if target == len(names) or names[target] != (a, b):
         raise ValueError(f"({a},{b}) is not an edge")
-    # the edges at a or b other than x, in index order
-    touching = [(i, names[i]) for i in _bits(lg.rows[target])]
+    trow = line.row(target)
 
     def side(endpoint: int) -> tuple[list[int], bool]:
-        incident = [i for i, e in touching if endpoint in e]
+        incident = list(_bits(line.incidence[endpoint] & trow))
         if len(incident) >= 3:
             return incident[:3], True
         return incident, False
@@ -346,6 +342,6 @@ def line_graph_witness(
     if z_term:
         terms.append(tuple(range(len(y_edges), len(y_edges) + 3)))
     witness = DnfWitness(target, support, tuple(terms))
-    if not witness.verify(lg):
+    if not witness.verify(line):
         raise RuntimeError("line graph witness failed verification")
     return witness

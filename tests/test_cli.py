@@ -481,6 +481,34 @@ def test_recheck_builds_the_host_once(tmp_path, capsys, monkeypatch, kind):
     assert len(calls) == 1
 
 
+def test_line_graph_recheck_builds_only_the_input_graph(tmp_path, capsys, monkeypatch):
+    """The witness and its recheck read L(G)'s rows from G's incidence
+    table: the one Graph built is the input, and L(G) is never built."""
+    from graphfun import families
+    from graphfun.graph import Graph
+
+    g = random_graph(30, 0.3, 5)
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    u, v = g.edges()[0]
+    built = []
+    post_init = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        post_init(self)
+
+    def never(*args):
+        raise AssertionError("L(G) was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    monkeypatch.setattr(families, "_incidence_graph", never)
+    code, report = run(capsys, ["witness", "line-graph", str(path), "--edge", str(u), str(v),
+                                "--recheck"])
+    assert code == 0 and report["result"]["recheck"] is True
+    assert built == [30]
+
+
 def test_unit_interval_witness_builds_the_host_once(tmp_path, capsys, monkeypatch):
     from graphfun import families, verify
 

@@ -93,14 +93,24 @@ def test_unit_interval_vertices_sorted_by_left():
 def test_line_graph():
     # L(P4) = P3; L(K3) = K3
     p4 = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-    lg, names = line_graph(p4)
-    assert names == ((0, 1), (1, 2), (2, 3))
-    assert lg.edges() == [(0, 1), (1, 2)]
+    line = line_graph(p4)
+    assert line.names == ((0, 1), (1, 2), (2, 3))
+    assert line.graph.edges() == [(0, 1), (1, 2)]
     k3 = Graph.from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
-    lg3, _ = line_graph(k3)
-    assert lg3.num_edges() == 3
-    with pytest.raises(ValueError):
-        line_graph(Graph(3, (0, 0, 0)))
+    assert line_graph(k3).graph.num_edges() == 3
+
+
+def test_line_graph_checks_its_rows_and_edgeless_graphs():
+    """The names and the incidence table of a LineGraph come from its one
+    root graph; what it checks is a row index and an edgeless root."""
+    line = line_graph(Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))
+    assert [line.row(e) for e in range(line.n)] == [0b010, 0b101, 0b010]
+    for e in (-1, 3):
+        with pytest.raises(ValueError, match=f"vertex {e} out of range for n=3"):
+            line.row(e)
+    for g in (Graph(3, (0, 0, 0)), Graph(0, ())):
+        with pytest.raises(ValueError, match="line graph of an edgeless graph is undefined"):
+            line_graph(g)
 
 
 # (make an instance, {cached member: the constructor it must agree with})
@@ -111,8 +121,12 @@ CACHED = [
         "incidence": lambda h: tuple(incidence_masks(h.n, h.edges)),
         "graph": lambda h: _incidence_graph(incidence_masks(h.n, h.edges), h.edges),
     }),
+    (lambda: line_graph(random_graph(12, 0.4, 5)), {
+        "graph": lambda line: _incidence_graph(
+            incidence_masks(line.root.n, line.root.edges()), line.root.edges()),
+    }),
 ]
-CACHED_IDS = ["permutation", "intervals", "hypergraph"]
+CACHED_IDS = ["permutation", "intervals", "hypergraph", "line-graph"]
 
 
 @pytest.mark.parametrize("make, built", CACHED, ids=CACHED_IDS)
@@ -209,6 +223,19 @@ def test_hyperedge_vertices_must_be_ints():
             Hypergraph3(5, (edge,))
 
 
+@pytest.mark.parametrize("n", [True, 3.0, 5.0])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda n: Graph.from_edge_list(n, [(0, 1)]), id="from_edge_list"),
+    pytest.param(lambda n: Hypergraph3(n, ((0, 1, 2),)), id="hypergraph3"),
+])
+def test_vertex_count_must_be_an_int(build, n):
+    """Graph.from_edge_list(3.0, [(0, 1)]) failed with a bare TypeError from
+    its list of n zeros, and Hypergraph3(5.0, ((0, 1, 2),)) was accepted
+    until its graph did; both now raise Graph's ValueError first."""
+    with pytest.raises(ValueError, match=f"^vertex count {n} is not an int$"):
+        build(n)
+
+
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         Hypergraph3(4, ((0, 1, 1),))
@@ -285,9 +312,9 @@ def test_line_graph_matches_pairwise(g):
         with pytest.raises(ValueError):
             line_graph(g)
         return
-    lg, names = line_graph(g)
-    assert names == tuple(edges)
-    assert lg == _pairwise_graph(len(edges), lambda i, j: bool(set(edges[i]) & set(edges[j])))
+    line = line_graph(g)
+    assert line.names == tuple(edges)
+    assert line.graph == _pairwise_graph(len(edges), lambda i, j: bool(set(edges[i]) & set(edges[j])))
 
 
 @settings(max_examples=150, deadline=None)
