@@ -123,26 +123,38 @@ def is_function_of(
 def _resolver_masks(g: Graph, y: int, among: int) -> list[int]:
     """One bitmask per conflict pair of y in G[among]: the vertices whose
     presence in S resolves it (the pair itself plus every distinguishing
-    vertex of ``among``, y excluded)."""
+    vertex of ``among``, y excluded).
+
+    The masks come stably sorted by popcount, as ``_min_hitting_set``
+    needs them: each is put in the bucket of its popcount as it is built,
+    so generation order holds within a bucket, and the buckets are joined
+    in increasing popcount."""
     others = among & ~(1 << y)
-    yrow = g.rows[y]
-    nonneigh = list(_bits(others & ~yrow))
-    masks = []
+    rows = g.rows
+    yrow = rows[y]
+    nonneigh = [(1 << w, rows[w]) for w in _bits(others & ~yrow)]
+    buckets: list[list[int]] = [[] for _ in range(others.bit_count() + 1)]
     for z in _bits(others & yrow):
-        rz = g.rows[z]
+        rz = rows[z]
         bz = 1 << z
-        for w in nonneigh:
-            masks.append(((rz ^ g.rows[w]) | bz | (1 << w)) & others)
+        for bw, rw in nonneigh:
+            m = ((rz ^ rw) | bz | bw) & others
+            buckets[m.bit_count()].append(m)
+    masks = []
+    for bucket in buckets:
+        masks += bucket
     return masks
 
 
 def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optional[int]:
     """Smallest mask hitting every resolver mask, of size < cap, else None.
 
-    ``init`` is a known-feasible mask used to seed the bound.  Branching is
-    fail-first: with the masks stably sorted by popcount, each node branches
-    on the candidates of its first unresolved mask, in increasing index
-    order, and passes each child only the masks the child leaves unresolved.
+    ``init`` is a known-feasible mask used to seed the bound.  ``masks``
+    must come stably sorted by popcount, as ``_resolver_masks`` returns
+    them: the size found does not depend on the order, but the mask
+    returned does.  Branching is fail-first: each node branches on the
+    candidates of its first unresolved mask, in increasing index order,
+    and passes each child only the masks the child leaves unresolved.
     After the child for b returns, later siblings ban b.  A child is cut
     when some mask it leaves unresolved has no unbanned candidate, or when
     a greedy packing of disjoint unbanned candidate sets reaches the best
@@ -204,16 +216,15 @@ def _min_hitting_set(masks: list[int], cap: int, init: Optional[int]) -> Optiona
                         best_mask = chosen | bit
             banned |= bit
 
-    pending = sorted(masks, key=int.bit_count)
     used = need = 0
-    for m in pending:
+    for m in masks:
         if not m & used:
             used |= m
             need += 1
             if need >= best_size:
                 return best_mask
-    if pending:
-        rec(0, 0, pending, 0)
+    if masks:
+        rec(0, 0, masks, 0)
     elif best_size > 0:
         best_mask = 0
     return best_mask
@@ -236,12 +247,41 @@ def _finish(unresolved: list[int], bit: int, allowed: int) -> int:
 def _fun_search(g: Graph, y: int, cap: int, among: int) -> Optional[int]:
     """Mask of a minimum support for y in G[among] of size < cap, or None.
     N(y) and its complement in G[among] are always supports (constant
-    function outside); the smaller seeds the bound."""
-    masks = _resolver_masks(g, y, among)
+    function outside); the smaller, ``init``, seeds the bound.
+
+    When the bound min(cap, |init|) is at most 2, the answer is
+    ``_min_hitting_set``'s, read off the rows without building a mask.
+    Only a support of size 0 or 1 could beat the bound.  Size 0 means no
+    conflict pair, so N(y) or its complement is empty and ``init`` is 0.
+    At bound 2 both have at least two vertices, so for each vertex a of
+    among - {y} both meet among - {a, y}.  {a} is then a support iff a
+    lies in every resolver mask, iff a is adjacent to exactly one vertex
+    of every conflict pair without a, iff a's row on among - {a, y} is
+    y's row there or its complement.  At bound 2 the search keeps only a
+    child that hits every mask, trying the vertices of its first mask in
+    increasing order, so it returns the lowest such a, as this loop does.
+    Failing that, it returns ``init`` if it is below cap, else None.
+    """
     others = among & ~(1 << y)
-    neigh = g.rows[y] & others
+    rows = g.rows
+    yrow = rows[y]
+    neigh = yrow & others
     non = others ^ neigh
-    return _min_hitting_set(masks, cap, neigh if neigh.bit_count() <= non.bit_count() else non)
+    init = neigh if neigh.bit_count() <= non.bit_count() else non
+    size = init.bit_count()
+    bound = min(cap, size)
+    if bound <= 2:
+        if bound == 2:
+            rest = others
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                outside = others ^ low
+                differ = (rows[low.bit_length() - 1] ^ yrow) & outside
+                if not differ or differ == outside:
+                    return low
+        return init if size < cap else None
+    return _min_hitting_set(_resolver_masks(g, y, among), cap, init)
 
 
 def _certified(g: Graph, y: int, support: Optional[int], among: Optional[int] = None) -> FunResult:
@@ -351,8 +391,13 @@ def _min_fun_over(
     adds its support to y's list in ``kept``.  At a negative floor nothing
     can be peeled, and the first vertex of degree or co-degree 0 in
     G[among] has fun 0, so it is the arg-min unsearched.  Only those
-    vertices have fun 0, and at a floor >= 0 a support of size 0 returns
-    None, so the loop never goes on past one.
+    vertices have fun 0: a support of size 0 puts all of among - {y} in
+    one profile cell, which must lie inside N(y) or miss it.  At a floor
+    >= 0, ``_peel`` with inc = among returns None if any vertex has
+    degree or co-degree at most ``floor`` in G[among].  So the loop sees
+    no vertex of fun 0, and once it holds a support of size 1 no later
+    vertex can strictly beat it: the loop stops there, with the same
+    (y, support) and the same ``kept`` as a loop that went on.
     """
     rows = g.rows
     if floor >= 0:
@@ -373,6 +418,8 @@ def _min_fun_over(
             if cap <= floor:
                 kept.setdefault(y, []).append(found)
                 return None
+            if cap == 1:
+                break
     return best
 
 
@@ -389,8 +436,8 @@ def min_fun(g: Graph) -> FunResult:
 def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     """Exact fun(G): maximum over all nonempty induced subgraphs of min_fun.
 
-    Rejects graphs above ``exact_limit``; fun_graph_lower gives a lower
-    bound for those, with no certificate.  graph.hereditary_max_min scores
+    Rejects a negative ``exact_limit``, and graphs above it;
+    fun_graph_lower gives a lower bound for those, with no certificate.  graph.hereditary_max_min scores
     each subset H as a vertex mask of G and stops at the first size whose
     bound floor((|H|-1)/2) cannot beat the best value.  fun obeys that
     bound: N(y) and its complement in H are both supports of y, and one of
@@ -406,6 +453,8 @@ def fun_graph(g: Graph, exact_limit: int = FUN_EXACT_LIMIT) -> FunResult:
     returned is the winner's: it is certified on G restricted to the
     winning subset, not searched again.
     """
+    if exact_limit < 0:
+        raise ValueError(f"exact_limit must be >= 0, got {exact_limit}")
     if g.n == 0:
         raise ValueError("fun_graph of the empty graph is undefined")
     if g.n > exact_limit:

@@ -59,6 +59,8 @@ def sd_graph(g: Graph, exact_limit: int = SD_EXACT_LIMIT) -> SdResult:
     included vertex, counted within the candidates, is at most the best
     value.  Only the winning subgraph is built, to report its pair.
     """
+    if exact_limit < 0:
+        raise ValueError(f"exact_limit must be >= 0, got {exact_limit}")
     if g.n < 2:
         raise ValueError("sd_graph needs at least 2 vertices")
     if g.n > exact_limit:

@@ -325,6 +325,15 @@ def test_inputs_out_of_range_are_usage_errors(tmp_path, capsys, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt", "one.txt"]
 
 
+@pytest.mark.parametrize("command", ["fun", "sd"])
+def test_negative_exact_limit_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    assert main([command, "graph", str(path), "--exact-limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exact_limit must be >= 0, got -1" in captured.err
+
+
 def test_internal_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     from graphfun import witnesses
 

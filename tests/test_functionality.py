@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from graphfun import functionality
 from graphfun.families import permutation_graph, random_graph, random_permutation
 from graphfun.functionality import (
+    _fun_search,
     _min_hitting_set,
+    _resolver_masks,
     fun_graph,
     fun_graph_lower,
     fun_vertex,
@@ -336,8 +340,9 @@ AND_PASS_EXAMPLES = [
 def test_min_hitting_set_returns_the_reference_mask(masks, cap, guess):
     # the same mask, not only the same size: supports must not change
     init = guess if all(m & guess for m in masks) else 4095
+    ordered = sorted(masks, key=int.bit_count)
     for seed in (None, init):
-        assert _min_hitting_set(masks, cap, seed) == _two_pass_min_hitting_set(masks, cap, seed)
+        assert _min_hitting_set(ordered, cap, seed) == _two_pass_min_hitting_set(masks, cap, seed)
 
 
 def test_and_pass_examples_take_the_and_pass(monkeypatch):
@@ -365,6 +370,59 @@ def test_and_pass_examples_take_the_and_pass(monkeypatch):
     # passes one: that vertex's own branch has already found a set of the
     # size this one would complete, so the child would not be two short.
     assert real([0b0111, 0b0101], 0b1000, ~0b0001) == 0b1100
+
+
+def _searched(g, y, cap, among):
+    """_fun_search's answer from the hitting-set search on every resolver
+    mask, seeded as _fun_search seeds it."""
+    others = among & ~(1 << y)
+    neigh = g.rows[y] & others
+    non = others ^ neigh
+    init = neigh if neigh.bit_count() <= non.bit_count() else non
+    return _min_hitting_set(_resolver_masks(g, y, among), cap, init)
+
+
+def test_fun_search_matches_the_hitting_set_search_on_every_small_graph():
+    """Every graph on at most 5 vertices, every y, every vertex mask holding
+    y and every cap from 0 to n: the searches a small bound answers without
+    masks give the hitting-set search's mask."""
+    cases = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph.from_edge_list(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            for y in range(n):
+                for among in range(1 << n):
+                    if among >> y & 1:
+                        for cap in range(n + 1):
+                            assert _fun_search(g, y, cap, among) == _searched(g, y, cap, among)
+                            cases += 1
+    assert cases == 502_170
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_fun_search_matches_the_hitting_set_search(n, p, seed, data):
+    g = random_graph(n, p, seed)
+    y = data.draw(st.integers(min_value=0, max_value=n - 1))
+    among = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)) | 1 << y
+    for cap in range(n + 1):
+        assert _fun_search(g, y, cap, among) == _searched(g, y, cap, among)
+
+
+def test_resolver_masks_come_stably_sorted_by_popcount():
+    g = random_graph(12, 0.5, 3)
+    for y in range(g.n):
+        masks = _resolver_masks(g, y, (1 << g.n) - 1)
+        others = ((1 << g.n) - 1) & ~(1 << y)
+        built = [((g.rows[z] ^ g.rows[w]) | 1 << z | 1 << w) & others
+                 for z in _bits(g.rows[y]) for w in _bits(others & ~g.rows[y])]
+        assert masks == sorted(built, key=int.bit_count)
 
 
 # Pinned supports: a faster search may prune more but must report these.

@@ -47,6 +47,67 @@ def test_min_fun_over_matches_naive(n, p, seed, pick, floor):
     assert is_function_of(sub, back[y], {back[v] for v in _bits(support)}) is not None
 
 
+def _searching_min_fun_over(g, among, floor, kept):
+    """_min_fun_over as it was before it stopped at a support of size 1:
+    every vertex is searched, each on all of its resolver masks."""
+    rows = g.rows
+    if floor >= 0:
+        if functionality._peel(rows, kept, among, among, floor) is None:
+            return None
+    else:
+        last = among.bit_count() - 1
+        for y in _bits(among):
+            d = (rows[y] & among).bit_count()
+            if not d or d == last:
+                return y, 0
+    best = None
+    cap = g.n
+    for y in _bits(among):
+        others = among & ~(1 << y)
+        neigh = rows[y] & others
+        non = others ^ neigh
+        init = neigh if neigh.bit_count() <= non.bit_count() else non
+        found = functionality._min_hitting_set(
+            functionality._resolver_masks(g, y, among), cap, init)
+        if found is not None:
+            best, cap = (y, found), found.bit_count()
+            if cap <= floor:
+                kept.setdefault(y, []).append(found)
+                return None
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    p=st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_min_fun_over_answers_as_the_searching_loop(n, p, seed):
+    """Every _min_fun_over call that min_fun and fun_graph make returns the
+    (y, support) and leaves the kept supports of the loop that searches
+    every vertex in full."""
+    g = random_graph(n, p, seed)
+    real = functionality._min_fun_over
+    calls = []
+
+    def checked(g, among, floor, kept):
+        before = {y: list(supports) for y, supports in kept.items()}
+        expected = _searching_min_fun_over(g, among, floor, before)
+        found = real(g, among, floor, kept)
+        assert found == expected and kept == before
+        calls.append(floor)
+        return found
+
+    functionality._min_fun_over = checked
+    try:
+        functionality.min_fun(g)
+        fun_graph(g)
+    finally:
+        functionality._min_fun_over = real
+    assert calls and calls[0] == -1
+
+
 def _unit_interval_12():
     rng = random.Random(4)
     return unit_interval_graph(
@@ -438,14 +499,15 @@ PARENT_WORK = {
     "unit-interval-12": (419, 3302, 3797),
 }
 
-# fun_graph's _fun_search calls since its scorer and dead read the
-# supports the sweep keeps, and its scorer takes a vertex of degree or
-# co-degree 0 as the arg-min unsearched; each must stay below the parent's.
+# fun_graph's (_fun_search calls, _resolver_masks calls) since its scorer
+# stops at a support of size 1 and a search whose bound is at most 2 reads
+# the rows instead of building masks: (11, 11), (26, 26), (24, 24) and
+# (24, 24) before.  The searches must stay below the parent's.
 FUN_SEARCHES = {
-    "G(12,0.2)": 11,
-    "G(12,0.5)": 26,
-    "G(12,0.8)": 24,
-    "unit-interval-12": 24,
+    "G(12,0.2)": (3, 1),
+    "G(12,0.5)": (22, 7),
+    "G(12,0.8)": (13, 0),
+    "unit-interval-12": (14, 4),
 }
 
 # sd_graph's scored subsets since its sweep stops at the size bound
@@ -459,13 +521,15 @@ SD_SCORED = {
 
 
 def _work(solver, g, monkeypatch):
-    """(_fun_search calls, subsets scored) of ``solver`` on ``g``."""
-    counts = {"search": 0, "score": 0}
-    search = functionality._fun_search
+    """(_fun_search calls, _resolver_masks calls, subsets scored) of
+    ``solver`` on ``g``."""
+    counts = {"search": 0, "masks": 0, "score": 0}
 
-    def counted_search(*args, **kwargs):
-        counts["search"] += 1
-        return search(*args, **kwargs)
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
     def counted_sweep(sweep):
         def wrapped(g, score, dead):
@@ -476,20 +540,22 @@ def _work(solver, g, monkeypatch):
         return wrapped
 
     with monkeypatch.context() as m:
-        m.setattr(functionality, "_fun_search", counted_search)
+        m.setattr(functionality, "_fun_search", counted("search", functionality._fun_search))
+        m.setattr(functionality, "_resolver_masks",
+                  counted("masks", functionality._resolver_masks))
         for module in (functionality, symdiff):
             m.setattr(module, "hereditary_max_min", counted_sweep(module.hereditary_max_min))
         solver(g)
-    return counts["search"], counts["score"]
+    return counts["search"], counts["masks"], counts["score"]
 
 
 @pytest.mark.parametrize("name", list(PARENT_WORK))
 def test_search_work_is_kept_and_scoring_falls(name, monkeypatch):
     g = GRAPHS[name]()
     searches, fun_scored, sd_scored = PARENT_WORK[name]
-    fun_searches, fun_now = _work(fun_graph, g, monkeypatch)
-    sd_searches, sd_now = _work(sd_graph, g, monkeypatch)
-    assert (fun_searches, sd_searches) == (FUN_SEARCHES[name], 0)
+    fun_searches, fun_masks, fun_now = _work(fun_graph, g, monkeypatch)
+    sd_searches, sd_masks, sd_now = _work(sd_graph, g, monkeypatch)
+    assert ((fun_searches, fun_masks), sd_searches, sd_masks) == (FUN_SEARCHES[name], 0, 0)
     assert fun_searches < searches
     assert fun_now < fun_scored
     assert sd_now < sd_scored
@@ -497,4 +563,4 @@ def test_search_work_is_kept_and_scoring_falls(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(SD_SCORED))
 def test_sd_sweep_stops_at_its_size_bound(name, monkeypatch):
-    assert _work(sd_graph, GRAPHS[name](), monkeypatch) == (0, SD_SCORED[name])
+    assert _work(sd_graph, GRAPHS[name](), monkeypatch) == (0, 0, SD_SCORED[name])
