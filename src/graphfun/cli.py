@@ -23,7 +23,7 @@ import time
 
 from . import __version__, families, hyper3, kexpr, verify, witnesses
 from .functionality import FUN_EXACT_LIMIT, fun_graph, fun_vertex, is_function_of, min_fun
-from .graph import format_graph, mask_of, parse_graph
+from .graph import format_graph, parse_graph
 from .params import degeneracy, vc_dimension
 from .symdiff import SD_EXACT_LIMIT, min_sd, sd_graph, sd_pair
 
@@ -59,6 +59,21 @@ def _load(path: str, parse):
         return parse(text), text
     except (OSError, ValueError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+
+
+def _report_value(value):
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_report_value(v) for v in value]
+    return value
+
+
+def _fields(result, *names: str) -> dict:
+    """The named fields of a solver's ``result``, in that order, as report
+    values: a frozenset becomes its sorted list and a tuple a list,
+    recursively; anything else is unchanged."""
+    return {name: _report_value(getattr(result, name)) for name in names}
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -117,16 +132,11 @@ def _cmd_fun(args) -> tuple[dict, tuple[str, ...]]:
         res = min_fun(g)
     else:
         res = fun_graph(g, exact_limit=args.exact_limit)
-    payload = {
-        "value": res.value,
-        "witness_vertex": res.witness_vertex,
-        "witness_set": sorted(res.witness_set),
-        "subgraph": sorted(res.subgraph) if res.subgraph is not None else None,
-    }
+    payload = _fields(res, "value", "witness_vertex", "witness_set", "subgraph")
     if args.recheck:
-        among = None if res.subgraph is None else mask_of(res.subgraph)
         payload["recheck"] = (
-            is_function_of(g, res.witness_vertex, res.witness_set, among) is not None
+            is_function_of(g, res.witness_vertex, res.witness_set, res.witness_fn.among)
+            is not None
         )
     return payload, (text,)
 
@@ -136,28 +146,20 @@ def _cmd_sd(args) -> tuple[dict, tuple[str, ...]]:
     if args.mode == "pair":
         payload = {"value": sd_pair(g, args.x, args.y), "pair": [args.x, args.y]}
     elif args.mode == "min":
-        res = min_sd(g)
-        payload = {"value": res.value, "pair": list(res.pair)}
+        payload = _fields(min_sd(g), "value", "pair")
     else:
-        res = sd_graph(g, exact_limit=args.exact_limit)
-        payload = {
-            "value": res.value,
-            "pair": list(res.pair),
-            "subgraph": sorted(res.subgraph),
-        }
+        payload = _fields(sd_graph(g, exact_limit=args.exact_limit), "value", "pair", "subgraph")
     return payload, (text,)
 
 
 def _cmd_degeneracy(args) -> tuple[dict, tuple[str, ...]]:
     g, text = _load(args.graphfile, parse_graph)
-    res = degeneracy(g)
-    return {"value": res.value, "order": list(res.order)}, (text,)
+    return _fields(degeneracy(g), "value", "order"), (text,)
 
 
 def _cmd_vcdim(args) -> tuple[dict, tuple[str, ...]]:
     g, text = _load(args.graphfile, parse_graph)
-    res = vc_dimension(g)
-    return {"value": res.value, "shattered": sorted(res.shattered)}, (text,)
+    return _fields(vc_dimension(g), "value", "shattered"), (text,)
 
 
 def _cmd_kexpr(args) -> tuple[dict, tuple[str, ...]]:
@@ -205,11 +207,7 @@ def _cmd_witness(args) -> tuple[dict, tuple[str, ...]]:
             raise CliError(f"({u},{v}) is not an edge", EXIT_USAGE)
         w = witnesses.line_graph_witness(line, (u, v))
         host = line
-    payload = {
-        "target": w.target,
-        "support": list(w.support),
-        "terms": [list(t) for t in w.terms],
-    }
+    payload = _fields(w, "target", "support", "terms")
     if args.kind == "permutation":
         payload["support_size"] = len(set(w.support))
     if args.recheck:
@@ -221,13 +219,7 @@ def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
     h, text = _load(args.hypergraphfile, families.parse_hypergraph)
     if args.mode == "bound":
         report = hyper3.hyper3_fun_bound(h)
-        payload = {
-            "s_index": report.s_index,
-            "s": list(report.s),
-            "f_indices": list(report.f_indices),
-            "bound": report.bound,
-            "thick_case": report.thick_case,
-        }
+        payload = _fields(report, "s_index", "s", "f_indices", "bound", "thick_case")
         if args.recheck:
             payload["recheck"] = (
                 is_function_of(h.graph, report.s_index, report.f_indices) is not None
@@ -235,13 +227,7 @@ def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
         return payload, (text,)
     # without a thick pair this raises ValueError, a usage error
     st = hyper3.find_thick_structure(h)
-    payload = {
-        "kind": st.kind,
-        "s": list(st.s),
-        "parts": [list(p) for p in st.parts],
-        "apex_degree": st.apex_degree,
-    }
-    return payload, (text,)
+    return _fields(st, "kind", "s", "parts", "apex_degree"), (text,)
 
 
 def _cmd_verify(args) -> tuple[dict, tuple[str, ...]]:

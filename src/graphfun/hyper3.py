@@ -168,23 +168,18 @@ def witness_no_thick(h: Hypergraph3, s) -> tuple[int, ...]:
     return f_indices
 
 
-def _find_disjoint_links(links: list[tuple[int, int]], k: int) -> Optional[list[int]]:
-    """Indices of k pairwise-disjoint pairs, lexicographically first, or None."""
-    chosen: list[int] = []
-
-    def rec(start: int, used: set[int]) -> bool:
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(links)):
-            pair = links[i]
-            if used.isdisjoint(pair):
-                chosen.append(i)
-                if rec(i + 1, used | set(pair)):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if rec(0, set()) else None
+def _three_disjoint_links(links: list[tuple[int, int]]) -> Optional[tuple[int, int, int]]:
+    """Indices i < j < l of three pairwise-disjoint pairs, lexicographically
+    first, or None."""
+    for i, first in enumerate(links):
+        for j in range(i + 1, len(links)):
+            if not set(first).isdisjoint(links[j]):
+                continue
+            used = {*first, *links[j]}
+            for l in range(j + 1, len(links)):
+                if used.isdisjoint(links[l]):
+                    return i, j, l
+    return None
 
 
 def _verify_structure(h: Hypergraph3, st: ThickStructure) -> bool:
@@ -274,7 +269,7 @@ def find_thick_structure(h: Hypergraph3) -> ThickStructure:
     # windmill: a 3-matching at the apex avoiding the thick pair
     for i, a, b, apex in candidates:
         links = sorted(pair for pair, _ in _links(h, apex, inc[apex] & ~inc[a] & ~inc[b]))
-        found = _find_disjoint_links(links, 3)
+        found = _three_disjoint_links(links)
         if found is None:
             continue
         base = with_pair(a, b, apex)

@@ -2,10 +2,9 @@
 neighbourhood set system."""
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -21,36 +20,34 @@ class VcResult:
 
 
 def degeneracy(g: Graph) -> DegeneracyResult:
-    """Exact degeneracy via repeated minimum-degree removal.
-
-    Priority queue over (current degree, vertex) with lazy decrease, so
-    ties always resolve to the lowest index.  The elimination order
-    certifies the value: each removed vertex has at most ``value``
-    not-yet-removed neighbours.
+    """Exact degeneracy via repeated minimum-degree removal, lowest index
+    on ties.  ``level[d]`` masks the remaining vertices of degree d; one
+    removal lowers a degree by at most one, so each step searches from one
+    level below the last.  The elimination order certifies the value: each
+    removed vertex has at most ``value`` not-yet-removed neighbours.
     """
     if g.n == 0:
         raise ValueError("degeneracy of the empty graph is undefined")
     deg = [g.degree(v) for v in range(g.n)]
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    removed = 0
+    level = [0] * g.n
+    for v, d in enumerate(deg):
+        level[d] |= 1 << v
+    alive = (1 << g.n) - 1
     order = []
-    value = 0
+    value = d = 0
     for _ in range(g.n):
-        while True:
-            d, v = heapq.heappop(heap)
-            if not removed >> v & 1 and deg[v] == d:
-                break
+        d = max(d - 1, 0)
+        while not level[d]:
+            d += 1
+        v = (level[d] & -level[d]).bit_length() - 1
+        level[d] ^= 1 << v
+        alive ^= 1 << v
         value = max(value, d)
-        removed |= 1 << v
         order.append(v)
-        rest = g.rows[v] & ~removed
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
+        for u in _bits(g.rows[v] & alive):
+            level[deg[u]] ^= 1 << u
             deg[u] -= 1
-            heapq.heappush(heap, (deg[u], u))
+            level[deg[u]] |= 1 << u
     return DegeneracyResult(value, tuple(order))
 
 

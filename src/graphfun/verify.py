@@ -23,8 +23,8 @@ from .families import (
     random_unit_intervals,
     sd_construction,
 )
-from .functionality import _min_fun_over, fun_graph, fun_vertex, min_fun
-from .graph import Graph, induced_subgraph
+from .functionality import fun_graph, fun_vertex, min_fun
+from .graph import induced_subgraph
 from .params import degeneracy, vc_dimension
 from .symdiff import sd_graph, sd_pair
 
@@ -37,10 +37,6 @@ def _cycle_graphs(seed: int, cases: int):
         n = rng.randint(4, 9)
         p = (0.2, 0.5, 0.8)[i % 3]
         yield i, random_graph(n, p, rng.randrange(2**32))
-
-
-def _min_fun_at_most(g: Graph, k: int) -> bool:
-    return _min_fun_over(g, (1 << g.n) - 1, k, {}) is None
 
 
 def verify_oracle_equivalence(seed: int = 0, cases: int = 200) -> tuple[bool, dict]:
@@ -157,7 +153,7 @@ def verify_cwd_bound(seed: int = 0, cases: int = 100) -> tuple[bool, dict]:
             1 + rng.randint(1, 49), rng.randrange(2**32)
         )
         g = families.distance_hereditary(script)
-        if not _min_fun_at_most(g, 1):
+        if min_fun(g).value > 1:
             failures.append({"case": f"dh-{i}", "steps": len(script)})
     return not failures, {"cases": cases, "failures": failures}
 

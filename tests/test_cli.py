@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import json
@@ -12,10 +13,10 @@ from types import SimpleNamespace
 import pytest
 
 import graphfun
-from graphfun import cli
+from graphfun import cli, families, hyper3, kexpr
 from graphfun.cli import main
 from graphfun.families import random_graph
-from graphfun.graph import write_graph
+from graphfun.graph import format_graph, write_graph
 
 
 def run(capsys, argv):
@@ -748,3 +749,94 @@ def test_report_bytes_are_unchanged(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["kexpr", "eval", "e.kx"]) == 0
     assert capsys.readouterr().out == KEXPR_EVAL_REPORT
+
+
+def _report_inputs():
+    """The input file of each pinned report, by name."""
+    texts = {
+        "g.txt": format_graph(random_graph(8, 0.5, 3)),
+        "k4.txt": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+        "p.txt": families.format_permutation(families.random_permutation(20, 1)),
+        "h.txt": families.format_hypergraph(families.random_3_hypergraph(40, 30, 2)),
+        "c5.kx": kexpr.C5_EXPRESSION_TEXT + "\n",
+    }
+    for kind in ("fly", "windmill", "broken_windmill"):
+        texts[f"{kind}.txt"] = families.format_hypergraph(getattr(hyper3, f"fixture_{kind}")())
+    return texts
+
+
+# Each solver report as written before its payload was built by one rule:
+# the sha256 of its stdout bytes and its stderr summary, with the clock
+# stopped; the summary pins the order of the result's keys, which the
+# sorted JSON does not.
+SOLVER_REPORTS = {
+    "fun vertex g.txt --vertex 0 --recheck": (
+        "57d0df9ea6e26283aba2cb29ff5eda74c59233c7cc2f42b5613119474e5822a0",
+        "fun: {'value': 2, 'witness_vertex': 0, 'subgraph': None, 'recheck': True} [0 ms]"),
+    "fun min g.txt --recheck": (
+        "90be6d20fe6a90dc37d1d6a836f9d2df7b7a57dc4e470666178a485b61a95db4",
+        "fun: {'value': 1, 'witness_vertex': 1, 'subgraph': None, 'recheck': True} [0 ms]"),
+    "fun graph g.txt --recheck": (
+        "ad6267e5223c35a2b34399f3022524cbb005e720286da0c9a4dfb4ff03cfc61d",
+        "fun: {'value': 2, 'witness_vertex': 0, 'recheck': True} [0 ms]"),
+    "sd pair g.txt --x 0 --y 1": (
+        "3cde6b2e3b4694cdeb0c74d7fc46c46781b56e72167f155ed9350d6da0e2eeff",
+        "sd: {'value': 2} [0 ms]"),
+    "sd min g.txt": (
+        "1cad4d2f5b1a4f10a843f8479290261e854cd4a56c8aefb8124ae7d9d03fadab",
+        "sd: {'value': 0} [0 ms]"),
+    "sd graph g.txt": (
+        "1b23dcf69a2cb7c4fc7585181a01f1c1a610c9dfedcd6e6f095305c62c65fba7",
+        "sd: {'value': 2} [0 ms]"),
+    "degeneracy g.txt": (
+        "e6e2211e8591c5032e7ac128ec85c57a179fe124712b586c437941bf3fd6e51f",
+        "degeneracy: {'value': 3} [0 ms]"),
+    "vcdim g.txt": (
+        "f2e639d78261b1638f69fe964e98e7c2e066aa71f0c9e16cdc74184651654305",
+        "vcdim: {'value': 2} [0 ms]"),
+    "witness permutation p.txt --recheck": (
+        "a63275d7dfe772a2a4d64fb4b982869d7aafac56128f6bd8d60c15e056208335",
+        "witness: {'target': 13, 'support_size': 5, 'recheck': True} [0 ms]"),
+    "witness line-graph k4.txt --edge 0 1 --recheck": (
+        "5872e5206461582a88a8ed7ba6b7015fba1a7f18359fea120fe920db345cb37f",
+        "witness: {'target': 0, 'recheck': True} [0 ms]"),
+    "hyper3 bound h.txt --recheck": (
+        "9508f98774fb697256098e430ccad8aeb40c38c43e9fe46d8493011f3399376e",
+        "hyper3: {'s_index': 0, 'bound': 0, 'thick_case': False, 'recheck': True} [0 ms]"),
+    "hyper3 bound fly.txt --recheck": (
+        "f4d12f3f9b8e2b5a2387c1648fd870194a3358c81ba8cdb11145913dcaf4d681",
+        "hyper3: {'s_index': 0, 'bound': 6, 'thick_case': True, 'recheck': True} [0 ms]"),
+    "hyper3 bound windmill.txt --recheck": (
+        "2edfc79af1ebf133844fd8c25162f439bc1279f140c28e9e61957d0c8fe8fa8d",
+        "hyper3: {'s_index': 0, 'bound': 6, 'thick_case': True, 'recheck': True} [0 ms]"),
+    "hyper3 bound broken_windmill.txt --recheck": (
+        "4abd40266a28cdc0c68eb6a7a04e3b313aac64046df343a28b20acc88cc04bd5",
+        "hyper3: {'s_index': 0, 'bound': 6, 'thick_case': True, 'recheck': True} [0 ms]"),
+    "hyper3 structure fly.txt": (
+        "3d384e782ae07166a9e7da0bc39b36a68c07abe15966ef0bcc51864938630b8f",
+        "hyper3: {'kind': 'fly', 'apex_degree': None} [0 ms]"),
+    "hyper3 structure windmill.txt": (
+        "a291e7f7f97c1378986a4eb06568a34cb66bb7cb984449db7efe70aa8487c3ad",
+        "hyper3: {'kind': 'windmill', 'apex_degree': None} [0 ms]"),
+    "hyper3 structure broken_windmill.txt": (
+        "a0331c1ae7b943cd00db8801bd502d7943b785bc3e3a7e8173ade6ab8c90d56f",
+        "hyper3: {'kind': 'broken_windmill', 'apex_degree': 3} [0 ms]"),
+    "kexpr check c5.kx": (
+        "56c6d678a336e312eff22531fedf57867246b9d194762a7c02ee4d4c41480159",
+        "kexpr: {'passed': True, 'min_fun': 2, 'bound': 7, 'witness_vertex': 0} [0 ms]"),
+}
+
+
+def _solver_report(argv, capsys):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err.strip()
+
+
+@pytest.mark.parametrize("argv", list(SOLVER_REPORTS))
+def test_solver_reports_are_unchanged(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _report_inputs().items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    assert _solver_report(argv, capsys) == (0, *SOLVER_REPORTS[argv])

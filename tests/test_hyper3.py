@@ -418,3 +418,29 @@ def test_verify_structure_rejects_each_broken_field(case):
     grown = Hypergraph3(Y + 1, h.edges + added)
     assert _verify_structure(grown, st)
     assert not _verify_structure(grown, change(st))
+
+
+def _disjoint_links_by_backtracking(links, k):
+    """Indices of k pairwise-disjoint pairs, lexicographically first, or
+    None, by recursive backtracking."""
+    chosen = []
+
+    def rec(start, used):
+        if len(chosen) == k:
+            return True
+        for i in range(start, len(links)):
+            if used.isdisjoint(links[i]):
+                chosen.append(i)
+                if rec(i + 1, used | set(links[i])):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if rec(0, set()) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=9))
+def test_three_disjoint_links_match_backtracking(links):
+    expected = _disjoint_links_by_backtracking(links, 3)
+    assert hyper3._three_disjoint_links(links) == expected

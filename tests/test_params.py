@@ -1,10 +1,17 @@
+import heapq
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfun.families import hypercube, random_graph, shattering_graph
+from graphfun.families import (
+    hypercube,
+    permutation_graph,
+    random_graph,
+    random_permutation,
+    shattering_graph,
+)
 from graphfun.graph import Graph
 from graphfun.naive import naive_degeneracy, naive_vc_dimension
 from graphfun.params import degeneracy, vc_dimension
@@ -46,6 +53,53 @@ def test_degeneracy_order_certifies_value():
 def test_degeneracy_lowest_index_ties():
     # K3: all degrees equal, so removal order must be 0, 1, 2
     assert degeneracy(complete(3)).order == (0, 1, 2)
+
+
+def _degeneracy_by_heap(g):
+    """(value, order) by a priority queue over (current degree, vertex)
+    with lazy decrease: the lowest degree, then the lowest index."""
+    deg = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed, order, value = 0, [], 0
+    while len(order) < g.n:
+        d, v = heapq.heappop(heap)
+        if removed >> v & 1 or deg[v] != d:
+            continue
+        value = max(value, d)
+        removed |= 1 << v
+        order.append(v)
+        for u in g.neighbors(v):
+            if not removed >> u & 1:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return value, tuple(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(
+    random_graph,
+    n=st.integers(min_value=1, max_value=39),
+    p=st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+))
+def test_degeneracy_order_matches_a_heap(g):
+    res = degeneracy(g)
+    assert (res.value, res.order) == _degeneracy_by_heap(g)
+
+
+FAMILY_GRAPHS = {
+    **{f"Q{d}": lambda d=d: hypercube(d) for d in range(1, 11)},
+    **{f"perm-{n}#{seed}": lambda n=n, seed=seed: permutation_graph(random_permutation(n, seed))
+       for n in (50, 200) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_GRAPHS))
+def test_degeneracy_order_matches_a_heap_on_families(name):
+    g = FAMILY_GRAPHS[name]()
+    res = degeneracy(g)
+    assert (res.value, res.order) == _degeneracy_by_heap(g)
 
 
 def test_vc_ground_truths():
