@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, families, hyper3, kexpr, verify, witnesses
-from .functionality import FUN_EXACT_LIMIT, fun_graph, fun_vertex, is_function_of, min_fun
+from .functionality import FUN_EXACT_LIMIT, fun_graph, fun_vertex, min_fun
 from .graph import format_graph, parse_graph
 from .params import degeneracy, vc_dimension
 from .symdiff import SD_EXACT_LIMIT, min_sd, sd_graph, sd_pair
@@ -33,6 +33,22 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 
 RNG_NAME = "python-random-mt19937"
+
+# The generator of each ``gen`` family; a family's options are its
+# generator's parameters.
+GENERATORS = {
+    "random-graph": families.random_graph,
+    "hypercube": families.hypercube,
+    "shattering": families.shattering_graph,
+    "permutation": families.random_permutation,
+    "sd-construction": families.sd_construction,
+    "unit-intervals": families.random_unit_intervals,
+    "hypergraph": families.random_3_hypergraph,
+    "kexpression": kexpr.random_kexpression,
+}
+
+# The default of each generator parameter that has none of its own.
+GEN_DEFAULTS = {"n": 10, "m": 20, "p": 0.5, "t": 2, "k": 3, "ops": 20, "seed": 0}
 
 
 class CliError(Exception):
@@ -83,45 +99,25 @@ def _fields(result, *names: str) -> dict:
 
 def _cmd_gen(args) -> tuple[dict, tuple[str, ...]]:
     fam = args.family
-    if fam == "random-graph":
-        g = families.random_graph(args.n, args.p, args.seed)
-        text = format_graph(g)
-        payload = {"family": fam, "n": g.n, "m": g.num_edges()}
-    elif fam == "hypercube":
-        g = families.hypercube(args.n)
-        text = format_graph(g)
-        payload = {"family": fam, "n": g.n, "m": g.num_edges()}
-    elif fam == "shattering":
-        g = families.shattering_graph(args.n)
-        text = format_graph(g)
-        payload = {"family": fam, "n": g.n, "m": g.num_edges()}
-    elif fam == "permutation":
-        p = families.random_permutation(args.n, args.seed)
-        text = families.format_permutation(p)
-        payload = {"family": fam, "n": p.n}
+    made = GENERATORS[fam](**{name: getattr(args, name) for name in args.options})
+    if fam in ("random-graph", "hypercube", "shattering"):
+        text, sizes = format_graph(made), {"n": made.n, "m": made.num_edges()}
     elif fam == "sd-construction":
-        p = families.sd_construction(args.t)
-        text = families.format_permutation(p)
-        payload = {"family": fam, "t": args.t, "n": p.n}
+        text, sizes = families.format_permutation(made), {"t": args.t, "n": made.n}
+    elif fam == "permutation":
+        text, sizes = families.format_permutation(made), {"n": made.n}
     elif fam == "unit-intervals":
-        iv = families.random_unit_intervals(args.n, args.seed)
-        text = families.format_intervals(iv)
-        payload = {"family": fam, "n": iv.n}
+        text, sizes = families.format_intervals(made), {"n": made.n}
     elif fam == "hypergraph":
-        h = families.random_3_hypergraph(args.n, args.m, args.seed)
-        text = families.format_hypergraph(h)
-        payload = {"family": fam, "n": h.n, "m": len(h.edges)}
+        text, sizes = families.format_hypergraph(made), {"n": made.n, "m": len(made.edges)}
     else:  # kexpression
-        e = kexpr.random_kexpression(args.k, args.ops, args.seed)
-        text = kexpr.to_text(e) + "\n"
-        payload = {"family": fam, "k": args.k, "ops": args.ops}
+        text, sizes = kexpr.to_text(made) + "\n", {"k": args.k, "ops": args.ops}
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_USAGE) from exc
-    payload["out"] = args.out
-    return payload, (fam, text)
+    return {"family": fam, **sizes, "out": args.out}, (fam, text)
 
 
 def _cmd_fun(args) -> tuple[dict, tuple[str, ...]]:
@@ -134,10 +130,7 @@ def _cmd_fun(args) -> tuple[dict, tuple[str, ...]]:
         res = fun_graph(g, exact_limit=args.exact_limit)
     payload = _fields(res, "value", "witness_vertex", "witness_set", "subgraph")
     if args.recheck:
-        payload["recheck"] = (
-            is_function_of(g, res.witness_vertex, res.witness_set, res.witness_fn.among)
-            is not None
-        )
+        payload["recheck"] = res.witness_fn.verify(g)
     return payload, (text,)
 
 
@@ -221,9 +214,7 @@ def _cmd_hyper3(args) -> tuple[dict, tuple[str, ...]]:
         report = hyper3.hyper3_fun_bound(h)
         payload = _fields(report, "s_index", "s", "f_indices", "bound", "thick_case")
         if args.recheck:
-            payload["recheck"] = (
-                is_function_of(h.graph, report.s_index, report.f_indices) is not None
-            )
+            payload["recheck"] = report.verify(h)
         return payload, (text,)
     # without a thick pair this raises ValueError, a usage error
     st = hyper3.find_thick_structure(h)
@@ -256,6 +247,17 @@ def _modes(sub, command: str, help: str, handler, dest: str, file: str | None,
     return parsers
 
 
+def _options(mode: argparse.ArgumentParser, fn) -> None:
+    """One ``--name`` option of ``mode`` per parameter of ``fn``, stored by
+    name in ``options``.  Its default is the parameter's own, or
+    ``GEN_DEFAULTS[name]`` when it has none, and its type is the default's."""
+    params = inspect.signature(fn).parameters
+    mode.set_defaults(options=tuple(params))
+    for p in params.values():
+        default = GEN_DEFAULTS[p.name] if p.default is p.empty else p.default
+        mode.add_argument(f"--{p.name}", type=type(default), default=default)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # parse state lives in the returned Namespace, so one parser serves
@@ -268,19 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = _modes(sub, "gen", "generate an instance file", _cmd_gen, "family", "--out",
-                 ["random-graph", "hypercube", "shattering", "permutation",
-                  "sd-construction", "unit-intervals", "hypergraph", "kexpression"],
-                 required=True)
-    for fam in ("random-graph", "hypercube", "shattering", "permutation",
-                "unit-intervals", "hypergraph"):
-        gen[fam].add_argument("--n", type=int, default=10)
-    gen["hypergraph"].add_argument("--m", type=int, default=20)
-    gen["random-graph"].add_argument("--p", type=float, default=0.5)
-    gen["sd-construction"].add_argument("--t", type=int, default=2)
-    gen["kexpression"].add_argument("--k", type=int, default=3)
-    gen["kexpression"].add_argument("--ops", type=int, default=20)
-    for fam in ("random-graph", "permutation", "unit-intervals", "hypergraph", "kexpression"):
-        gen[fam].add_argument("--seed", type=int, default=0)
+                 list(GENERATORS), required=True)
+    for fam, mode in gen.items():
+        _options(mode, GENERATORS[fam])
 
     fun = _modes(sub, "fun", "functionality of a vertex or graph", _cmd_fun,
                  "mode", "graphfile", ["vertex", "min", "graph"])
@@ -319,11 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = _modes(sub, "verify", "run a verification target", _cmd_verify,
                  "target", None, sorted(verify.TARGETS))
     for name, target in ver.items():
-        # a target's options are its function's parameters, with its defaults
-        params = inspect.signature(verify.TARGETS[name]).parameters
-        target.set_defaults(options=tuple(params))
-        for p in params.values():
-            target.add_argument(f"--{p.name}", type=int, default=p.default)
+        _options(target, verify.TARGETS[name])
     return ap
 
 

@@ -8,7 +8,8 @@ File formats:
   hypergraph   - header ``n m`` followed by m lines ``a b c``
 
 All three read through ``graph.data_lines``: blank lines and ``#``
-comment lines are ignored.
+comment lines are ignored, and each data line must be a
+``graph.plain_line`` (the intervals may hold a ``+`` sign).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Graph, check_vertex_count, data_lines, read_header
+from .graph import Graph, check_vertex_count, data_lines, plain_line, read_header
 
 
 @dataclass(frozen=True)
@@ -365,7 +366,7 @@ def random_3_hypergraph(n: int, m: int, seed: int) -> Hypergraph3:
 
 
 def parse_permutation(text: str) -> Permutation:
-    values = tuple(int(tok) for ln in data_lines(text) for tok in ln.split())
+    values = tuple(int(tok) for ln in data_lines(text) for tok in plain_line(ln).split())
     return Permutation(values)
 
 
@@ -381,7 +382,7 @@ def parse_intervals(text: str) -> IntervalSet:
         if "e" in ln or "E" in ln:
             raise ValueError(f"endpoint {ln!r} has an exponent; write an integer, p/q or a decimal")
         try:
-            lefts.append(Fraction(ln))
+            lefts.append(Fraction(plain_line(ln, plus=True)))
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {ln!r}") from exc
     return IntervalSet(tuple(lefts))
@@ -393,7 +394,7 @@ def format_intervals(iv: IntervalSet) -> str:
 
 def parse_hypergraph(text: str) -> Hypergraph3:
     n, records = read_header(text, "hyperedge")
-    edges = [tuple(int(tok) for tok in ln.split()) for ln in records]
+    edges = [tuple(int(tok) for tok in plain_line(ln).split()) for ln in records]
     return Hypergraph3.from_edges(n, edges)
 
 

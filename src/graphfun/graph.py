@@ -400,9 +400,9 @@ def sym_diff_mask(g: Graph, u: int, v: int) -> int:
 
 # --- text format ------------------------------------------------------------
 #
-# Every line-based format reads through ``data_lines``, which drops blank
-# and '#' comment lines.  A graph is "n m", then exactly m lines "u v" with
-# 0 <= u < v < n and no duplicates.
+# Every line format reads through ``data_lines``, which drops blank and '#'
+# lines, and ``plain_line``.  A graph is "n m", then exactly m lines "u v"
+# with 0 <= u < v < n and no duplicates.
 
 
 class GraphFormatError(ValueError):
@@ -425,6 +425,14 @@ def data_lines(text: str) -> list[str]:
     return lines
 
 
+def plain_line(line: str, plus: bool = False) -> str:
+    """``line``, if it holds none of what int() and Fraction() read beyond the
+    formats: a non-ASCII character, a ``_`` or, unless ``plus``, a ``+``."""
+    if not line.isascii() or "_" in line or (not plus and "+" in line):
+        raise GraphFormatError(f"bad data line: {line!r}")
+    return line
+
+
 def read_header(text: str, what: str) -> tuple[int, list[str]]:
     """(n, record lines) of a text whose data lines are a header ``n m``,
     with 0 <= n <= ``MAX_VERTICES``, and then exactly m ``what`` lines."""
@@ -432,7 +440,7 @@ def read_header(text: str, what: str) -> tuple[int, list[str]]:
     if not data:
         raise GraphFormatError("missing header line 'n m'")
     try:
-        n, m = map(int, data[0].split())
+        n, m = map(int, plain_line(data[0]).split())
     except ValueError as exc:
         raise GraphFormatError(f"bad header line: {data[0]!r}") from exc
     if n < 0:
@@ -447,8 +455,8 @@ def read_header(text: str, what: str) -> tuple[int, list[str]]:
 def parse_graph(text: str) -> Graph:
     """The graph of a text ``n m`` followed by m edge lines ``u v``.
 
-    The first line that is not two integers 0 <= u < v < n raises; a
-    repeated edge raises only when every line is well formed.  All lines
+    The first line that is not two ``plain_line`` integers 0 <= u < v < n
+    raises; a repeated edge only when every line is well formed.  All lines
     are read at once: joined with a ``;`` between lines, there are 3m - 1
     tokens and all but every third one are integers iff every line is two
     integers, since each ``;`` must then sit in a third place.  Only when
@@ -456,8 +464,8 @@ def parse_graph(text: str) -> Graph:
     faulty line.
     """
     n, records = read_header(text, "edge")
-    tokens = " ; ".join(records).split()
     try:
+        tokens = plain_line(" ; ".join(records)).split()
         if len(tokens) != 3 * len(records) - 1:
             raise ValueError
         us = list(map(int, tokens[0::3]))
@@ -474,14 +482,11 @@ def parse_graph(text: str) -> Graph:
 
 def _edge_lines(n: int, records: list[str]) -> tuple[list[int], list[int]]:
     """The endpoints of ``records`` read line by line; the first line that
-    is not two integers 0 <= u < v < n raises."""
+    is not two ``plain_line`` integers 0 <= u < v < n raises."""
     us, vs = [], []
     for ln in records:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line: {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, plain_line(ln).split())
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line: {ln!r}") from exc
         if not (0 <= u < v < n):

@@ -71,6 +71,10 @@ class Hyper3Report:
     bound: int
     thick_case: bool
 
+    def verify(self, h: Hypergraph3) -> bool:
+        """Replay on ``h.graph``: hyperedge ``s_index`` is a function of ``f_indices``."""
+        return is_function_of(h.graph, self.s_index, self.f_indices) is not None
+
 
 def intersection_graph(h: Hypergraph3) -> tuple[Graph, tuple[tuple[int, int, int], ...]]:
     """One vertex per hyperedge in input order; adjacency iff the

@@ -16,6 +16,7 @@ import graphfun
 from graphfun import cli, families, hyper3, kexpr
 from graphfun.cli import main
 from graphfun.families import random_graph
+from graphfun.functionality import WitnessFunction
 from graphfun.graph import format_graph, write_graph
 
 
@@ -387,8 +388,9 @@ def test_failed_recheck_writes_its_report_and_exits_1(tmp_path, capsys, monkeypa
         path.write_text(families.format_hypergraph(families.random_3_hypergraph(40, 30, 2)))
         argv = ["hyper3", "bound", str(path)]
     if kind in ("fun", "hyper3"):
-        # the CLI's own replay; the solvers keep their own import
-        monkeypatch.setattr(cli, "is_function_of", lambda *args: None)
+        # the CLI's own replay; the solvers replay through is_function_of
+        monkeypatch.setattr(WitnessFunction, "verify", lambda self, g: False)
+        monkeypatch.setattr(hyper3.Hyper3Report, "verify", lambda self, h: False)
     else:
         _fails_after_building(monkeypatch, witnesses, kind.replace("-", "_") + "_witness")
     code, report = run(capsys, argv + ["--recheck"])
@@ -840,3 +842,84 @@ def test_solver_reports_are_unchanged(argv, tmp_path, capsys, monkeypatch):
         (tmp_path / name).write_text(text)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     assert _solver_report(argv, capsys) == (0, *SOLVER_REPORTS[argv])
+
+
+# Each gen report as written before a family's options came from its
+# generator's parameters: the sha256 of its stdout bytes, its stderr summary
+# and the sha256 of the file it wrote, with the clock stopped.  Every family
+# runs once at its defaults and once with each of its options set.
+GEN_REPORTS = {
+    "gen random-graph --out o.txt": (
+        "8cf362e0ee90dc405c29ccd9b61fa2ef955ddace9d32ee8053084e71c3ecb5d8",
+        "gen: {'family': 'random-graph', 'n': 10, 'm': 19, 'out': 'o.txt'} [0 ms]",
+        "e7be6eea78ec5f5cc1fd72beaad72c3c1078812138a402b16c94a700a96a4de3"),
+    "gen random-graph --out o.txt --n 7 --p 0.3 --seed 2": (
+        "0a38993d148cc1ddef3e79af48680eb9b66ec291cbecffcd3ca071154cb8ba48",
+        "gen: {'family': 'random-graph', 'n': 7, 'm': 5, 'out': 'o.txt'} [0 ms]",
+        "6a1bc25da83873b4661abea0646ef98cc529b9b1a31dc1de08b9a7e22c7c8017"),
+    "gen hypercube --out o.txt": (
+        "eeafe43ead9f7a6432351abaa3d030dc641d50f63a35606d5b9a808f38a2d2eb",
+        "gen: {'family': 'hypercube', 'n': 1024, 'm': 5120, 'out': 'o.txt'} [0 ms]",
+        "2f81929762fbb0ba4f609c0cfdfc43978db2302b2479705c057f8d9deaf13eef"),
+    "gen hypercube --out o.txt --n 3": (
+        "14788712c05244499ba6cff103255866ce8ced67ec17975ba0e64be80838ba63",
+        "gen: {'family': 'hypercube', 'n': 8, 'm': 12, 'out': 'o.txt'} [0 ms]",
+        "df0a96cb541167880506ba67a92672037c2e026781bf66496912e62bef26c10f"),
+    "gen shattering --out o.txt": (
+        "c345d2e600638253ddab31d158c310605fbae8bcd527dd8035955556f48c3cc0",
+        "gen: {'family': 'shattering', 'n': 1034, 'm': 5120, 'out': 'o.txt'} [0 ms]",
+        "9b1f4f269f01c1d4ac695e06e9910412dbc921bfc09ce19170e3d4a3f2af0c9b"),
+    "gen shattering --out o.txt --n 3": (
+        "f2e8a24524714ecaec1fe88676a7a5edb8a185f693b54e6f16a0271788b78208",
+        "gen: {'family': 'shattering', 'n': 11, 'm': 12, 'out': 'o.txt'} [0 ms]",
+        "59c87377ed0737d98f7cc800f437faddcfeb1198c1442a9a921645a8200256c8"),
+    "gen permutation --out o.txt": (
+        "599fff4b941b5fb4535362ada4a83a22bb8cec21ba3de7cdb51f8065415d34f0",
+        "gen: {'family': 'permutation', 'n': 10, 'out': 'o.txt'} [0 ms]",
+        "930c230c88d812a5918e1c0724f1812209e56544a127a4b3cb3702c5c0e02e21"),
+    "gen permutation --out o.txt --n 15 --seed 4": (
+        "be2baf4632b188b0814f6bdcfbd06c303a9bc90f6664eb70f48e66a912f5a944",
+        "gen: {'family': 'permutation', 'n': 15, 'out': 'o.txt'} [0 ms]",
+        "4af74ba616b8f995d59f5841366a31e22b8ab00b1c8a34c71e0c75cb6d83fe0b"),
+    "gen sd-construction --out o.txt": (
+        "8d80c44f26cc909ac714f7a835e344d313479f5dc6d53c167a9de1bf5ff88122",
+        "gen: {'family': 'sd-construction', 't': 2, 'n': 9, 'out': 'o.txt'} [0 ms]",
+        "d16e70656da1c20fec8b152452861176d090346b872394936116e3c1da525010"),
+    "gen sd-construction --out o.txt --t 3": (
+        "a0dcdde59b8e928388f7ce696cf467b1724ce45d051bb6754da7264d2955e23f",
+        "gen: {'family': 'sd-construction', 't': 3, 'n': 16, 'out': 'o.txt'} [0 ms]",
+        "52ca456f39b3771cb7b13dd088bc9430c926a336185740a83ab1256ffa9b5534"),
+    "gen unit-intervals --out o.txt": (
+        "e85ca05f4d851b0eee90a21032b3701fbac85cd77be097576b6eb4be643bbe3e",
+        "gen: {'family': 'unit-intervals', 'n': 10, 'out': 'o.txt'} [0 ms]",
+        "f56f2092c98618d7077c2e566cc92600e2fb9aff9b7b2d85892b969e29c88565"),
+    "gen unit-intervals --out o.txt --n 6 --seed 5": (
+        "360b19e049b8b978511598725d35f2f7eb46755feb76a2965ed482cc2c18bd9d",
+        "gen: {'family': 'unit-intervals', 'n': 6, 'out': 'o.txt'} [0 ms]",
+        "db5ed5b76692dda98cb8a5df76886c9db57f5b674d5da781cf84e062508a5b6e"),
+    "gen hypergraph --out o.txt": (
+        "06c2478c01df742149b6c007562f195a992987bf83c2b549378169f550552de4",
+        "gen: {'family': 'hypergraph', 'n': 10, 'm': 20, 'out': 'o.txt'} [0 ms]",
+        "50a8bc3cdb211bd631dd080d4e4f4d6a34fccc32ef6d1824a0df2cdbff04ba3e"),
+    "gen hypergraph --out o.txt --n 8 --m 12 --seed 6": (
+        "669cbcce5bd5be3985c037fe10cf62b926672c0a783bb45aacd68a2dff29b4b9",
+        "gen: {'family': 'hypergraph', 'n': 8, 'm': 12, 'out': 'o.txt'} [0 ms]",
+        "d86515c130bd77014de65697f2fb504bf81b964c395d8feda499c3864f3b8be9"),
+    "gen kexpression --out o.txt": (
+        "287ba70a1cf4d70508d014a899e5f308fe097b9b769f97d5aa2fff47ca6754c0",
+        "gen: {'family': 'kexpression', 'k': 3, 'ops': 20, 'out': 'o.txt'} [0 ms]",
+        "fd8abe90c7e3db60d33257c545b7be9a9d5ae4b7074c6c3602cc738566f6aa62"),
+    "gen kexpression --out o.txt --k 2 --ops 9 --seed 7": (
+        "d3f30beb39a12b528e6bcacd3052a2e71b6f03687912b1c00df4888ddf4a4a44",
+        "gen: {'family': 'kexpression', 'k': 2, 'ops': 9, 'out': 'o.txt'} [0 ms]",
+        "394e27df26ea8d6c2de873861a981e7114a3b24ff4155f6018b3fe71b4562115"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GEN_REPORTS))
+def test_gen_reports_are_unchanged(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, err = _solver_report(argv, capsys)
+    written = hashlib.sha256((tmp_path / "o.txt").read_bytes()).hexdigest()
+    assert (code, out, err, written) == (0, *GEN_REPORTS[argv])

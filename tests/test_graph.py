@@ -343,8 +343,9 @@ def test_vertex_taking_functions_reject_out_of_range(case):
 def _line_by_line(text):
     """parse_graph as it was when it read one line at a time, for files
     whose header is well formed: (n, rows), or the GraphFormatError message.
-    The first line that is not two integers 0 <= u < v < n is reported; a
-    repeated edge only when every line is well formed."""
+    The first line that is not two integers 0 <= u < v < n, or that holds a
+    non-ASCII character, ``_`` or ``+``, is reported; a repeated edge only
+    when every line is well formed."""
     data = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     n, m = map(int, data[0].split())
     if len(data) - 1 != m:
@@ -352,7 +353,7 @@ def _line_by_line(text):
     edges = []
     for ln in data[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not ln.isascii() or "_" in ln or "+" in ln:
             return f"bad edge line: {ln!r}"
         try:
             u, v = int(parts[0]), int(parts[1])
@@ -370,14 +371,18 @@ def _line_by_line(text):
     return n, tuple(rows)
 
 
-EDGE_FAULTS = ("tokens", "not-int", "order", "range", "repeat", "blank")
+EDGE_FAULTS = ("tokens", "not-int", "order", "range", "repeat", "blank", "spelling")
 
 
 def _spell(rng, x):
-    """x as a token Python's int reads: plain, signed, zero-padded, with an
-    underscore or in Arabic-Indic digits."""
-    return rng.choice([str(x), str(x), str(x), f"+{x}", f"0{x}",
-                       f"{x // 10}_{x % 10}" if x >= 10 else str(x),
+    """x as a token the format reads: plain or zero-padded."""
+    return rng.choice([str(x), str(x), str(x), f"0{x}"])
+
+
+def _misspell(rng, x):
+    """x as a token Python's int reads but the format does not: signed,
+    with an underscore or in Arabic-Indic digits."""
+    return rng.choice([f"+{x}", f"{x}_0",
                        str(x).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))])
 
 
@@ -385,7 +390,8 @@ def _edge_file(seed, faults):
     """A G(n, 0.4) edge file in random line order and spelling, with one
     line inserted per fault: a line of one or three tokens, a token int
     cannot read, u >= v, an endpoint out of range, a repeat of an edge, or
-    a blank or ``#`` line.  The header counts the data lines."""
+    a blank or ``#`` line, or an edge with a token ``_misspell`` spells.
+    The header counts the data lines."""
     rng = random.Random(seed)
     n = rng.randint(2, 12)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
@@ -401,6 +407,7 @@ def _edge_file(seed, faults):
             "range": rng.choice([f"{u} {n}", f"{u} {n + 5}", f"-1 {v}"]),
             "repeat": "{} {}".format(*map(lambda x: _spell(rng, x), rng.choice(edges or [(u, v)]))),
             "blank": rng.choice(["", "   ", "# comment", "#0 1"]),
+            "spelling": rng.choice([f"{_misspell(rng, u)} {v}", f"{u} {_misspell(rng, v)}"]),
         }[fault]
         if fault == "repeat" and not edges:
             lines.append(line)
@@ -431,8 +438,9 @@ def test_parse_graph_matches_the_per_line_reader(seed, faults):
 def test_parse_graph_reports_the_first_faulty_line_before_a_repeat():
     assert _parse_outcome("3 3\n0 1\n0 1\n1 x\n") == "bad edge line: '1 x'"
     assert _parse_outcome("3 3\n0 1\n2 1\n1 2 0\n") == "edge (2,1) violates 0 <= u < v < n"
-    assert _parse_outcome("3 3\n0 1\n1 2\n+0 1\n") == "duplicate edge (0, 1)"
-    assert _parse_outcome("3 2\n٠ ١\n1_0 2\n") == "edge (10,2) violates 0 <= u < v < n"
+    assert _parse_outcome("3 3\n0 1\n1 2\n00 1\n") == "duplicate edge (0, 1)"
+    assert _parse_outcome("3 3\n0 1\n1 2\n+0 1\n") == "bad edge line: '+0 1'"
+    assert _parse_outcome("3 2\n٠ ١\n1_0 2\n") == "bad edge line: '٠ ١'"
     assert _parse_outcome("-1 0\n") == "vertex count -1 is negative"
 
 

@@ -90,6 +90,38 @@ def test_line_formats_skip_comments_and_blank_lines(fmt):
     assert parse(padded) == parse(text)
 
 
+@pytest.mark.parametrize("fmt", sorted(LINE_FORMATS))
+def test_comments_may_hold_any_text(fmt):
+    """The token rule reads data lines only."""
+    parse, text = LINE_FORMATS[fmt]
+    assert parse("# café 1_0 +1 ٢\n" + text) == parse(text)
+
+
+# Each text is one that int() or Fraction() read before the token rule,
+# with the line or token its message names.
+@pytest.mark.parametrize("command, text, named", [
+    (["fun", "min"], "3 1\n٠ ١\n", "'٠ ١'"),
+    (["fun", "min"], "3 1\n0_0 1\n", "'0_0 1'"),
+    (["fun", "min"], "3 1\n+0 +1\n", "'+0 +1'"),
+    (["fun", "min"], "3_0 0\n", "'3_0 0'"),
+    (["witness", "permutation"], "1 ٢ 3 4\n", "'1 ٢ 3 4'"),
+    (["witness", "unit-interval"], "1_0\n2\n", "'1_0'"),
+    (["hyper3", "bound"], "5 1\n0 1 +2\n", "'0 1 +2'"),
+    (["kexpr", "eval"], "node(٢,a)\n", "expected positive label"),
+], ids=["arabic-indic-edge", "underscore-edge", "plus-edge", "underscore-header",
+        "arabic-indic-permutation", "underscore-interval", "plus-hyperedge", "kexpr-label"])
+def test_tokens_beyond_the_formats_are_parse_errors(command, text, named, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(command + [str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err, captured.err
+
+
+def test_intervals_keep_their_plus_sign():
+    assert parse_intervals("+1/3\n2\n") == parse_intervals("1/3\n2\n")
+
+
 # Text built from tokens of every format, always separated, so that no two
 # numbers run together into an instance too large to build.
 TOKENS = st.one_of(
